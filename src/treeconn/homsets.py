@@ -1,9 +1,13 @@
 """Exhaustive, deterministic enumeration of Hom-sets for every category tag.
 
-Surjection-bearing Hom-sets are generated skeleton-first: every rigid
-surjection is the unique extension of its induced embedding by choices at the
-positions off the skeleton, so enumeration backtracks over embeddings and
-then over the per-position allowed values.  Results are sorted into
+Surjection-bearing Hom-sets are generated from embeddings: every rigid
+surjection is the unique extension of its induced embedding (its skeleton)
+by choices at the positions off the skeleton.  Rigid surjections alone are
+filled skeleton by skeleton.  Connections, and partial strong pairs once per
+initial segment, are generated pair-first: each (skeleton, embedding) pair
+that can carry a connection is expanded directly over the values its free
+positions allow, so ``max_hom`` bounds the output before any row exists and
+no skeleton x embedding cross product is built.  Results are sorted into
 lexicographic order on (surjection sequence, embedding sequence); re-running
 yields identical sequences.  The slow filter-all-maps generators live in the
 test suite as oracles.
@@ -30,7 +34,7 @@ from .morphisms import (
     Connection,
     TreeMap,
 )
-from .trees import OrderedTree, initial_subtree
+from .trees import OrderedTree
 
 
 @dataclass(frozen=True)
@@ -173,66 +177,56 @@ def enumerate_connections(S: OrderedTree, T: OrderedTree, category: str = CONN,
         raise ValueError(f"enumerate_connections does not handle {category!r}")
     _check_sizes(budget, S, T)
     linear = category != CONN
-    srows = _rigid_rows(T, S, budget, linear=linear)
-    erows = _emb_rows(S, T, budget, linear=linear)
-    if category == CONN_ROOT and len(erows):
-        erows = erows[erows[:, 0] == 0]
-    morphisms: list[Connection] = []
-    if len(srows) and len(erows):
-        caps = kernels.pair_caps(erows, T.n)
-        mask = kernels.pair_filter(srows, erows, caps)
-        if int(mask.sum()) > budget.max_hom:
-            raise BudgetExceededError(
-                f"more than max_hom={budget.max_hom} connections"
-            )
-        pairs = sorted(
-            (tuple(int(v) for v in srows[p]), tuple(int(v) for v in erows[q]))
-            for p, q in np.argwhere(mask)
-        )
-        for svals, evals in pairs:
-            morphisms.append(
-                Connection(category, TreeMap(T, S, svals), TreeMap(S, T, evals))
-            )
-    return HomSet(category, S, T, tuple(morphisms))
+    skels = _emb_rows(S, T, budget, linear=linear)
+    embs = skels[skels[:, 0] == 0] if category == CONN_ROOT else skels
+    dom = _leq_matrix(T.n) if linear else T.anc
+    rows = kernels.connection_rows(skels, embs, dom, budget.max_hom)
+    if rows is None:
+        raise BudgetExceededError(f"more than max_hom={budget.max_hom} connections")
+    morphisms = tuple(
+        Connection(category, TreeMap(T, S, row[:T.n]), TreeMap(S, T, row[T.n:]))
+        for row in rows.tolist()
+    )
+    return HomSet(category, S, T, morphisms)
 
 
 def enumerate_psc(S: OrderedTree, T: OrderedTree,
                   budget: Budget = DEFAULT_BUDGET) -> HomSet:
     """All partial strong pairs: for each v in T, the strong connections
-    between the initial segment up to v and S."""
+    between the initial segment up to v and S.
+
+    The embeddings of S into the initial segment up to v are the embeddings
+    into T that end at or below v; those ending at v are the strong ones.
+    """
     _check_sizes(budget, S, T)
-    found: list[tuple[tuple, tuple, int]] = []
-    for v in range(T.n):
-        if v + 1 < S.n:
+    rows = _emb_rows(S, T, budget)
+    parts = [np.empty((0, T.n + S.n), dtype=np.int64)]
+    found = 0
+    for v in range(S.n - 1, T.n):
+        embs = rows[rows[:, -1] == v]
+        if len(embs) == 0:
             continue
-        Tv = initial_subtree(T, v)
-        erows = _emb_rows(S, Tv, budget)
-        if len(erows) == 0:
-            continue
-        erows = erows[erows[:, -1] == v]
-        if len(erows) == 0:
-            continue
-        srows = _rigid_rows(Tv, S, budget)
-        if len(srows) == 0:
-            continue
-        caps = kernels.pair_caps(erows, Tv.n)
-        mask = kernels.pair_filter(srows, erows, caps)
-        for p, q in np.argwhere(mask):
-            found.append(
-                (
-                    tuple(int(x) for x in srows[p]),
-                    tuple(int(x) for x in erows[q]),
-                    v,
-                )
-            )
-        if len(found) > budget.max_hom:
+        part = kernels.connection_rows(rows[rows[:, -1] <= v], embs,
+                                       T.anc[: v + 1, : v + 1], budget.max_hom - found)
+        if part is None:
             raise BudgetExceededError(
                 f"more than max_hom={budget.max_hom} partial strong pairs"
             )
-    found.sort()
+        found += len(part)
+        # Pad the surjection to T.n with -1: a shorter prefix sorts first.
+        padded = np.full((len(part), T.n + S.n), -1, dtype=np.int64)
+        padded[:, : v + 1] = part[:, : v + 1]
+        padded[:, T.n:] = part[:, v + 1:]
+        parts.append(padded)
+    allrows = np.concatenate(parts)
+    allrows = allrows[np.lexsort(allrows.T[::-1])]
     morphisms = tuple(
-        Connection(PSC, TreeMap(T, S, svals, domain_top=v), TreeMap(S, T, evals))
-        for svals, evals, v in found
+        Connection(
+            PSC,
+            TreeMap(T, S, row[: row[-1] + 1], domain_top=row[-1]),
+            TreeMap(S, T, row[T.n:]),
+        )
+        for row in allrows.tolist()
     )
     return HomSet(PSC, S, T, morphisms)
 

@@ -1,9 +1,15 @@
 """Array kernels for the hot enumeration and search loops.
 
-Every kernel is written against plain numpy arrays and is compiled with
-numba when available.  Setting ``TREECONN_BACKEND=python`` selects the
-uncompiled path (identical code, interpreted); ``benchmarks/bench_kernels.py``
-compares the two.
+Connections are generated pair-first: ``realizable_pairs`` finds the
+(skeleton, embedding) pairs that carry a connection, ``connection_rows``
+expands each pair over its free positions, and ``doubling_pair_sweep``
+checks the doubling stability condition on the pairs.  These are plain
+numpy, vectorised over pairs in blocks of a fixed cell count.
+
+The loop kernels (embedding backtracking, rigid-surjection count and fill,
+the coloring searches) are compiled with numba when available; setting
+``TREECONN_BACKEND=python`` selects the same code interpreted.
+``perfbench/run.py`` measures both kinds end to end and per kernel.
 """
 
 from __future__ import annotations
@@ -78,7 +84,8 @@ def embedding_search(meet_s, meet_t, pin_root, max_out):
         lo = 0 if d == 0 else img[d - 1] + 1
         if c < lo:
             c = lo
-        hi = 1 if (d == 0 and pin_root) else nt
+        # Leave room for the ns - 1 - d larger images still to place.
+        hi = 1 if (d == 0 and pin_root) else nt - (ns - 1 - d)
         chosen = np.int64(-1)
         while c < hi:
             ok = True
@@ -201,6 +208,9 @@ def rigid_fill(skels, dom, out):
 def pair_filter(surjs, embs, caps):
     """Mask of surjection/embedding pairs that are partial inverses.
 
+    The library generates connections pair-first (``connection_rows``) and
+    no longer calls this; the benchmark tracer still resolves it by name.
+
     Pair (s, j) passes when s(j(x)) = x for every x and s(y) stays at or
     below caps[q, y], the least x whose embedded image lies strictly above y.
     """
@@ -223,21 +233,6 @@ def pair_filter(surjs, embs, caps):
                         break
             mask[p, q] = ok
     return mask
-
-
-@_jit
-def pair_caps(embs, nt):
-    """caps[q, y] = least x with embs[q, x] > y, or ns when none exists."""
-    b = embs.shape[0]
-    ns = embs.shape[1]
-    caps = np.empty((b, nt), dtype=np.int64)
-    for q in range(b):
-        x = 0
-        for y in range(nt):
-            while x < ns and embs[q, x] <= y:
-                x += 1
-            caps[q, y] = x
-    return caps
 
 
 @_jit
@@ -446,72 +441,151 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, ncopies,
             nxt[d] = 0
 
 
-@_jit
+# ---------------------------------------------------------------------------
+# Pair-first connection generation (plain numpy, vectorised over pairs).
+#
+# A connection (s, j) is a skeleton m, the induced embedding of s, paired
+# with an embedding j; the rows below are (skels[p], embs[q]) index pairs.
+# The pair tests work in blocks of about _BLOCK_CELLS cells and the row
+# expansion one output column at a time, so memory follows the output and
+# not the skeleton x embedding cross product.
+# ---------------------------------------------------------------------------
+
+_BLOCK_CELLS = 1 << 14
+
+
+def pair_caps(embs, nt):
+    """caps[q, y] = least x with embs[q, x] > y, or ns when none exists."""
+    b, ns = embs.shape
+    hit = np.zeros((b, nt), dtype=np.int64)
+    hit[np.arange(b)[:, None], embs] = 1
+    # Rows are strictly increasing, so the x with embs[q, x] <= y are a prefix.
+    return np.cumsum(hit, axis=1)
+
+
+def realizable_pairs(skels, embs, dom, caps):
+    """Yield, one block of embeddings at a time, the index arrays (p, q) of
+    the pairs whose skeleton m = skels[p] and embedding j = embs[q] carry at
+    least one connection; caps = pair_caps(embs, nt).
+
+    The pair is realizable when, for every x: dom[m(x), j(x)]; the inverse
+    of m at j(x) is undefined or x; and x <= caps[q, m(x)].  dom[u, y] says
+    that a vertex y may take the value x with skeleton vertex u = m(x)
+    (ancestry for trees, <= for linear orders).  Pairs come out ordered by
+    embedding, then by skeleton.
+    """
+    a, ns = skels.shape
+    b = embs.shape[0]
+    nt = dom.shape[0]
+    minv = np.full((a, nt), -1, dtype=np.int64)
+    minv[np.arange(a)[:, None], skels] = np.arange(ns)
+    step = max(1, _BLOCK_CELLS // max(a, 1))
+    for q0 in range(0, b, step):
+        js, cs = embs[q0:q0 + step], caps[q0:q0 + step]
+        ok = np.ones((len(js), a), dtype=np.bool_)
+        for x in range(ns):
+            mx, jx = skels[:, x], js[:, x]
+            inv = minv[:, jx].T
+            ok &= dom[mx[None, :], jx[:, None]]
+            ok &= (inv < 0) | (inv == x)
+            ok &= cs[:, mx] >= x
+        q, p = np.nonzero(ok)
+        yield p, q + q0
+
+
+def _allowed(skels, embs, caps, dom, p, q):
+    """allowed[k, y, x]: position y may take value x in the connections of
+    pair (p[k], q[k]).  Positions on the skeleton or the embedding image are
+    forced to the one value x with m(x) = y or j(x) = y; any other y takes
+    each x with dom[m(x), y] and x <= caps[q, y]."""
+    ns = skels.shape[1]
+    nt = dom.shape[0]
+    ms, js = skels[p], embs[q]
+    xs = np.arange(ns)
+    allowed = dom[ms[:, None, :], np.arange(nt)[None, :, None]]
+    allowed &= xs[None, None, :] <= caps[q][:, :, None]
+    forced = np.full((len(p), nt), -1, dtype=np.int64)
+    rows = np.arange(len(p))[:, None]
+    forced[rows, ms] = xs
+    forced[rows, js] = xs
+    fixed = forced >= 0
+    allowed[fixed] = xs[None, :] == forced[fixed][:, None]
+    return allowed
+
+
+def connection_rows(skels, embs, dom, max_out):
+    """Every connection over the realizable (skeleton, embedding) pairs, as
+    rows s | j of length nt + ns in lexicographic order.
+
+    Each pair expands by mixed radix over its free positions.  Returns None,
+    before allocating any row, when there are more than max_out rows.
+    """
+    ns = skels.shape[1]
+    nt = dom.shape[0]
+    caps = pair_caps(embs, nt)
+    step = max(1, _BLOCK_CELLS // max(nt * ns, 1))
+    empty = np.empty(0, dtype=np.int64)
+    ps, qs, cs = [empty], [empty], [empty]
+    total = 0
+    for block_p, block_q in realizable_pairs(skels, embs, dom, caps):
+        for k0 in range(0, len(block_p), step):
+            bp, bq = block_p[k0:k0 + step], block_q[k0:k0 + step]
+            allowed = _allowed(skels, embs, caps, dom, bp, bq)
+            # A float product cannot wrap; clamped, it is exact below max_out + 1.
+            prod = allowed.sum(axis=2).prod(axis=1, dtype=np.float64)
+            bc = np.minimum(prod, max_out + 1).astype(np.int64)
+            total += int(bc.sum())
+            if total > max_out:
+                return None
+            # Kept pairs have a row each, so they number at most max_out.
+            keep = bc > 0
+            ps.append(bp[keep])
+            qs.append(bq[keep])
+            cs.append(bc[keep])
+    p, q, counts = np.concatenate(ps), np.concatenate(qs), np.concatenate(cs)
+    out = np.empty((total, nt + ns), dtype=np.int64)
+    pos = 0
+    for k0 in range(0, len(p), step):
+        bp, bq, bc = p[k0:k0 + step], q[k0:k0 + step], counts[k0:k0 + step]
+        allowed = _allowed(skels, embs, caps, dom, bp, bq)
+        radix = allowed.sum(axis=2)
+        values = np.argsort(~allowed, axis=2, kind="stable")
+        n = int(bc.sum())
+        pair = np.repeat(np.arange(len(bp)), bc)
+        digits = np.arange(n) - np.repeat(np.cumsum(bc) - bc, bc)
+        block = out[pos:pos + n]
+        for y in range(nt - 1, -1, -1):
+            r = radix[pair, y]
+            block[:, y] = values[pair, y, digits % r]
+            digits //= r
+        block[:, nt:] = embs[bq[pair]]
+        pos += n
+    return out[np.lexsort(out.T[::-1])]
+
+
 def doubling_pair_sweep(ms, js, anc, base, first_double, viol_out):
     """Sweep all realizable skeleton/embedding pairs of the outer Hom-set and
     check the doubling stability condition on each.
 
     ms and js both list the embeddings of the doubling tree T into the
-    witness V (rows, length nt).  A pair (m, j) is realizable exactly when
-    some surjection with induced embedding m forms a connection with j:
-    m[x] must sit below j[x], no two skeleton/embedding images may collide
-    inconsistently, and the forced value x at position m[x] must respect the
-    cap induced by j.  For each realizable pair the stability condition says
-    the skeleton and the embedding agree on every marked base vertex and the
+    witness V (rows, length nt); realizability is ``realizable_pairs`` with
+    dom = anc.  For each realizable pair the stability condition says the
+    skeleton and the embedding agree on every marked base vertex and the
     skeleton avoids the embedded first double.
 
     Returns (n_realizable, n_violations); the first violating (m, j) index
-    pairs are written to viol_out.
+    pairs, ordered by embedding and then by skeleton, are written to
+    viol_out.
     """
-    a = ms.shape[0]
-    b = js.shape[0]
-    nt = ms.shape[1]
-    nv = anc.shape[0]
-    namark = base.shape[0]
-    minv = np.empty(nv, dtype=np.int64)
-    cap = np.empty(nv, dtype=np.int64)
-    nfeas = np.int64(0)
-    nviol = np.int64(0)
-    for q in range(b):
-        x = 0
-        for y in range(nv):
-            while x < nt and js[q, x] <= y:
-                x += 1
-            cap[y] = x
-        for p in range(a):
-            for y in range(nv):
-                minv[y] = -1
-            for t in range(nt):
-                minv[ms[p, t]] = t
-            feas = True
-            for t in range(nt):
-                jx = js[q, t]
-                mx = ms[p, t]
-                if not anc[mx, jx]:
-                    feas = False
-                    break
-                if minv[jx] != -1 and minv[jx] != t:
-                    feas = False
-                    break
-                if t > cap[mx]:
-                    feas = False
-                    break
-            if not feas:
-                continue
-            nfeas += 1
-            bad = False
-            for ai in range(namark):
-                tb = base[ai]
-                td = first_double[ai]
-                if ms[p, tb] != js[q, tb]:
-                    bad = True
-                    break
-                if ms[p, tb] == js[q, td]:
-                    bad = True
-                    break
-            if bad:
-                if nviol < viol_out.shape[0]:
-                    viol_out[nviol, 0] = p
-                    viol_out[nviol, 1] = q
-                nviol += 1
-    return nfeas, nviol
+    caps = pair_caps(js, anc.shape[0])
+    n_realizable = n_violations = 0
+    for p, q in realizable_pairs(ms, js, anc, caps):
+        mb = ms[p[:, None], base[None, :]]
+        bad = (mb != js[q[:, None], base[None, :]]) | (mb == js[q[:, None], first_double[None, :]])
+        viol = np.flatnonzero(bad.any(axis=1))
+        k = max(0, min(len(viol), viol_out.shape[0] - n_violations))
+        viol_out[n_violations:n_violations + k, 0] = p[viol[:k]]
+        viol_out[n_violations:n_violations + k, 1] = q[viol[:k]]
+        n_realizable += len(p)
+        n_violations += len(viol)
+    return n_realizable, n_violations

@@ -25,7 +25,10 @@ from .trees import OrderedTree
 
 VERDICTS = ("arrows", "fails", "degree_at_most_k", "degree_exceeds_k", "unknown")
 
-_CHUNK = 2_000_000  # search nodes between wall-clock checks
+_CHUNK = 2_000_000  # search nodes between wall-clock checks without a time cap
+_FIRST_TIMED_CHUNK = 1_000  # first chunk under a time cap, before a rate is known
+_CHUNK_SECONDS = 0.1  # target chunk length under a time cap
+_MAX_MASK_COLORS = 63  # colors that fit the degree search's int64 bitmasks
 
 
 @dataclass(frozen=True)
@@ -153,17 +156,28 @@ def _order(mode: str, istart: np.ndarray, n_items: int) -> np.ndarray:
 
 
 def _run_chunks(kernel_call, state, budget: Budget):
-    """Drive a resumable kernel under the node and wall-clock budgets."""
+    """Drive a resumable kernel under the node and wall-clock budgets.
+
+    Under a time cap each chunk is sized from the node rate seen so far to
+    last about _CHUNK_SECONDS, so the clock is read often enough to stop
+    close to the cap.  Without a cap the chunks are a fixed node count, so
+    the sequence of kernel calls, which a tracer counts, does not depend on
+    the speed of the machine.
+    """
     t0 = time.monotonic()
+    chunk = _CHUNK if budget.time_cap is None else _FIRST_TIMED_CHUNK
     while True:
-        limit = min(budget.max_nodes, int(state[1]) + _CHUNK)
-        status = kernel_call(limit)
+        status = kernel_call(min(budget.max_nodes, int(state[1]) + chunk))
         if status != kernels.PAUSED:
             return status
         if state[1] >= budget.max_nodes:
             return kernels.PAUSED
-        if budget.time_cap is not None and time.monotonic() - t0 > budget.time_cap:
-            return kernels.PAUSED
+        if budget.time_cap is not None:
+            spent = time.monotonic() - t0
+            if spent > budget.time_cap:
+                return kernels.PAUSED
+            rate = int(state[1]) / max(spent, 1e-6)
+            chunk = max(_FIRST_TIMED_CHUNK, int(rate * _CHUNK_SECONDS))
 
 
 def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
@@ -236,7 +250,8 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     copies of the attained color count, by branch and bound.
 
     Returns (k, certificate).  With ``at_most`` the certificate verdict
-    reports whether the computed degree stays within that bound.
+    reports whether the computed degree stays within that bound.  Raises
+    ValueError when min(r, number of items) exceeds 63 colors.
     """
     if r < 1:
         raise ValueError("need at least one color")
@@ -245,6 +260,14 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     except BudgetExceededError:
         return None, ArrowCertificate("unknown", r, None, None, 0)
     n = fam.n_items
+    # A coloring of n items uses at most n colors; the kernel keeps each
+    # copy's colors in an int64 bitmask, so at most _MAX_MASK_COLORS fit.
+    r_eff = min(r, n)
+    if r_eff > _MAX_MASK_COLORS:
+        raise ValueError(
+            f"degree search handles at most {_MAX_MASK_COLORS} colors; "
+            f"{r_eff} are in play ({n} items, r={r})"
+        )
     copies = _dedup_copies(fam)
     cstart, citems, clen, istart, icopies, maxdeg = _csr(copies, n)
     order = _order(mode, istart, n)
@@ -256,13 +279,13 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     ubuf = np.zeros((max(n, 1), max(maxdeg, 1)), dtype=np.int64)
     ulen = np.zeros(max(n, 1), dtype=np.int64)
     best_col = np.full(n, -1, dtype=np.int64)
-    cap = min(r, int(clen.min()))
+    cap = min(r_eff, int(clen.min()))
     state = np.zeros(4, dtype=np.int64)
     state[3] = cap
 
     def call(limit):
         return kernels.dfs_degree(
-            cstart, citems, clen, istart, icopies, order, r, len(copies),
+            cstart, citems, clen, istart, icopies, order, r_eff, len(copies),
             col, nxt, maxu, ccnt, cmask, ubuf, ulen, state, best_col, limit,
         )
 

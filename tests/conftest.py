@@ -84,6 +84,25 @@ def conn_oracle(S, T):
     return sorted((s, e) for s in rigs for e in embs if cond_a_oracle(s, e))
 
 
+@lru_cache(maxsize=None)
+def linear_conn_oracle(ns, nt, fix_min=False):
+    """All connections between the linear orders of sizes ns and nt (they
+    ignore tree shape): raw maps with an increasing-injection Galois partner
+    in the linear order, paired with every increasing injection (fixing the
+    minimum when ``fix_min``) that passes condition (a)."""
+    embs = list(itertools.combinations(range(nt), ns))
+    rigs = [
+        s for s in itertools.product(range(ns), repeat=nt)
+        if any(
+            all(s[e[x]] == x for x in range(ns)) and all(e[s[y]] <= y for y in range(nt))
+            for e in embs
+        )
+    ]
+    if fix_min:
+        embs = [e for e in embs if e[0] == 0]
+    return sorted((s, e) for s in rigs for e in embs if cond_a_oracle(s, e))
+
+
 def psc_oracle(S, T):
     out = []
     for v in range(T.n):
@@ -131,3 +150,46 @@ def trees_up_to_4():
 @pytest.fixture(scope="session")
 def trees_up_to_5():
     return small_trees(5)
+
+
+def pair_caps_loop(embs, nt):
+    """Loop reference for ``kernels.pair_caps``: caps[q][y] is the least x
+    with embs[q, x] > y, or ns when there is none."""
+    ns = embs.shape[1]
+    return [
+        [next((x for x in range(ns) if embs[q, x] > y), ns) for y in range(nt)]
+        for q in range(embs.shape[0])
+    ]
+
+
+def doubling_pair_sweep_loop(ms, js, anc, base, first_double, viol_out):
+    """Loop reference for ``kernels.doubling_pair_sweep``: the same pair
+    test and stability check, one (embedding, skeleton) pair at a time."""
+    nt = ms.shape[1]
+    nv = anc.shape[0]
+    caps = pair_caps_loop(js, nv)
+    nfeas = nviol = 0
+    for q in range(js.shape[0]):
+        cap = caps[q]
+        for p in range(ms.shape[0]):
+            minv = [-1] * nv
+            for t in range(nt):
+                minv[ms[p, t]] = t
+            feas = all(
+                anc[ms[p, t], js[q, t]]
+                and minv[js[q, t]] in (-1, t)
+                and t <= cap[ms[p, t]]
+                for t in range(nt)
+            )
+            if not feas:
+                continue
+            nfeas += 1
+            bad = any(
+                ms[p, tb] != js[q, tb] or ms[p, tb] == js[q, td]
+                for tb, td in zip(base, first_double)
+            )
+            if bad:
+                if nviol < viol_out.shape[0]:
+                    viol_out[nviol] = (p, q)
+                nviol += 1
+    return nfeas, nviol

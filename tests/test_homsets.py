@@ -1,8 +1,17 @@
+import time
+
 import pytest
 
 import treeconn as tc
 from treeconn.errors import BudgetExceededError
-from conftest import conn_oracle, emb_oracle, incinj_oracle, psc_oracle, rigid_oracle
+from conftest import (
+    conn_oracle,
+    emb_oracle,
+    incinj_oracle,
+    linear_conn_oracle,
+    psc_oracle,
+    rigid_oracle,
+)
 
 C1, C2, C3 = tc.chain(1), tc.chain(2), tc.chain(3)
 CHERRY = tc.parse_tree("(()())")
@@ -37,11 +46,13 @@ def test_identity_membership():
         assert tc.identity_connection(C3, cat).key() in {c.key() for c in hom}
 
 
-@pytest.mark.parametrize("category", [tc.EMB, tc.INC_INJ, tc.RIGID, tc.CONN, tc.PSC])
-def test_generator_matches_oracle(category, trees_up_to_4):
-    small = tc.all_trees_up_to(3)
-    for S in small:
-        for T in trees_up_to_4:
+@pytest.mark.parametrize(
+    "category",
+    [tc.EMB, tc.INC_INJ, tc.RIGID, tc.CONN, tc.PSC, tc.CONN_LINEAR, tc.CONN_ROOT],
+)
+def test_generator_matches_oracle(category, trees_up_to_5):
+    for S in trees_up_to_5:
+        for T in trees_up_to_5:
             hom = tc.enumerate_hom(category, S, T)
             got = [c.key() for c in hom]
             if category == tc.EMB:
@@ -52,9 +63,12 @@ def test_generator_matches_oracle(category, trees_up_to_4):
                 expect = [(s, ()) for s in rigid_oracle(T, S)]
             elif category == tc.CONN:
                 expect = list(conn_oracle(S, T))
+            elif category == tc.PSC:
+                got = [(*c.key(), c.surj.domain_top) for c in hom]
+                expect = psc_oracle(S, T)
             else:
-                expect = [(s, e) for s, e, _ in psc_oracle(S, T)]
-            assert got == expect, (tc.format_tree(S), tc.format_tree(T))
+                expect = linear_conn_oracle(S.n, T.n, category == tc.CONN_ROOT)
+            assert got == expect, (category, tc.format_tree(S), tc.format_tree(T))
 
 
 def test_enumeration_deterministic():
@@ -98,6 +112,17 @@ def test_large_embedding_set_grows_buffer():
     assert len(hom) == 9880  # C(40, 3)
     assert hom[0].emb.values == (0, 1, 2)
     assert hom[-1].emb.values == (37, 38, 39)
+
+
+def test_self_hom_of_a_long_chain_is_the_identity():
+    # Backtracking without a bound on the room left to place the remaining
+    # images is exponential here (8 s at chain20).
+    C22 = tc.chain(22)
+    for category in (tc.INC_INJ, tc.EMB):
+        t0 = time.perf_counter()
+        hom = tc.enumerate_hom(category, C22, C22)
+        assert time.perf_counter() - t0 < 2.0
+        assert [c.emb.values for c in hom] == [tuple(range(22))]
 
 
 def test_count_rigid_surjections_formula():

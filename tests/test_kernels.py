@@ -1,10 +1,14 @@
-"""The compiled kernels and their interpreted fallbacks must agree exactly."""
+"""The compiled kernels must agree exactly with their interpreted fallbacks,
+and the numpy kernels with the loop references in conftest."""
+
+import itertools
 
 import numpy as np
 
 import treeconn as tc
 from treeconn import kernels
 from treeconn.homsets import _emb_rows
+from conftest import doubling_pair_sweep_loop, pair_caps_loop, small_trees
 
 
 def both(kernel, *args):
@@ -36,14 +40,20 @@ def test_rigid_kernels_backends_agree():
 
 
 def test_pair_kernels_backends_agree():
+    # pair_caps is numpy only, so it is checked against its loop reference.
+    trees = small_trees(4) + (tc.doubling_tree(tc.chain(2)).tree,)
+    for S in trees:
+        for T in trees:
+            erows = _emb_rows(S, T, tc.DEFAULT_BUDGET)
+            if len(erows):
+                assert kernels.pair_caps(erows, T.n).tolist() == pair_caps_loop(erows, T.n)
     S, T = tc.chain(2), tc.chain(4)
     from treeconn.homsets import _rigid_rows
 
     srows = _rigid_rows(T, S, tc.DEFAULT_BUDGET)
     erows = _emb_rows(S, T, tc.DEFAULT_BUDGET)
-    caps1, caps2 = both(kernels.pair_caps, erows, T.n)
-    assert np.array_equal(caps1, caps2)
-    m1, m2 = both(kernels.pair_filter, srows, erows, caps1)
+    caps = kernels.pair_caps(erows, T.n)
+    m1, m2 = both(kernels.pair_filter, srows, erows, caps)
     assert np.array_equal(m1, m2)
 
 
@@ -78,18 +88,46 @@ def test_dfs_bad_backends_agree():
     assert results[0][0] == kernels.FOUND
 
 
-def test_doubling_sweep_backends_agree():
-    dbl = tc.doubling_tree(tc.chain(2))
-    V = tc.doubling_tree(dbl.tree).tree
-    rows = _emb_rows(dbl.tree, V, tc.DEFAULT_BUDGET)
-    base = np.array([dbl.base_index[x] for x in dbl.marked], dtype=np.int64)
-    first = np.array([dbl.doubles[x][0] for x in dbl.marked], dtype=np.int64)
-    viol1 = np.full((16, 2), -1, dtype=np.int64)
-    viol2 = np.full((16, 2), -1, dtype=np.int64)
-    r1 = kernels.doubling_pair_sweep(rows, rows, V.anc, base, first, viol1)
-    r2 = kernels.py_func(kernels.doubling_pair_sweep)(rows, rows, V.anc, base, first, viol2)
-    assert r1 == r2
-    assert np.array_equal(viol1, viol2)
+def test_doubling_sweep_matches_loop_reference(monkeypatch):
+    # Swapping base and first doubles plants violations: 10 for (()), more
+    # than viol_out holds for (()()), so the kept prefix and its order count.
+    # With 100-cell blocks the violations fall in many blocks of embeddings.
+    for block_cells, S in itertools.product(
+            (kernels._BLOCK_CELLS, 100), (tc.chain(2), tc.parse_tree("(()())"))):
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", block_cells)
+        dbl = tc.doubling_tree(S)
+        V = tc.doubling_tree(dbl.tree).tree
+        rows = _emb_rows(dbl.tree, V, tc.DEFAULT_BUDGET)
+        base = np.array([dbl.base_index[x] for x in dbl.marked], dtype=np.int64)
+        first = np.array([dbl.doubles[x][0] for x in dbl.marked], dtype=np.int64)
+        for b, f in ((base, first), (first, base)):
+            viol1 = np.full((16, 2), -1, dtype=np.int64)
+            viol2 = np.full((16, 2), -1, dtype=np.int64)
+            got = kernels.doubling_pair_sweep(rows, rows, V.anc, b, f, viol1)
+            want = doubling_pair_sweep_loop(rows, rows, V.anc, b, f, viol2)
+            assert tuple(int(v) for v in got) == want
+            assert np.array_equal(viol1, viol2)
+        assert want[1] > 0
+
+
+def test_connection_rows_do_not_depend_on_block_size(monkeypatch):
+    from treeconn.homsets import _leq_matrix
+
+    D = tc.doubling_tree(tc.chain(2)).tree
+    T = tc.doubling_tree(D).tree
+    cases = []
+    for S in (tc.chain(2), D):
+        rows = _emb_rows(S, T, tc.DEFAULT_BUDGET)
+        cases.append((rows, rows, T.anc))
+        lin = _emb_rows(S, T, tc.DEFAULT_BUDGET, linear=True)
+        cases.append((lin, lin, _leq_matrix(T.n)))
+        cases.append((lin, lin[lin[:, 0] == 0], _leq_matrix(T.n)))
+    want = [kernels.connection_rows(*case, 10**6) for case in cases]
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", 1)
+    for case, rows in zip(cases, want):
+        assert len(rows) > 0
+        assert np.array_equal(kernels.connection_rows(*case, 10**6), rows)
+        assert kernels.connection_rows(*case, len(rows) - 1) is None
 
 
 def test_resumable_search_pauses_and_resumes():

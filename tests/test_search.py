@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -67,11 +68,26 @@ def test_arrow_budget_unknown():
     assert cert.verdict == "unknown"
     k, cert = tc.degree_at_witness(C2, C3, tc.chain(6), 2, tc.INC_INJ, budget=tiny_hom)
     assert k is None and cert.verdict == "unknown"
+    # The time cap stops the search close to the cap (about 17 s uncapped).
+    t0 = time.perf_counter()
+    cert = tc.arrow_check(C2, C3, tc.chain(12), 2, tc.INC_INJ, tc.Budget(time_cap=1.0))
+    assert cert.verdict == "unknown"
+    assert time.perf_counter() - t0 < 3.0
 
 
 def test_degree_r1_is_one():
     k, cert = tc.degree_at_witness(C2, C3, tc.chain(4), 1, tc.INC_INJ)
     assert k == 1 and cert.verdict == "degree_at_most_k"
+
+
+def test_degree_color_count_fits_the_mask():
+    # r above the number of items is harmless: 5 items, degree 3.
+    k, cert = tc.degree_at_witness(C1, C3, tc.chain(5), 65, tc.INC_INJ)
+    assert k == 3 and cert.verdict == "degree_at_most_k"
+    # 65 items can take 65 colors, more than the int64 color masks hold.
+    C65 = tc.chain(65)
+    with pytest.raises(ValueError, match="at most 63 colors"):
+        tc.degree_at_witness(C1, C65, C65, 65, tc.INC_INJ, tc.Budget(max_vertices=128))
 
 
 def test_degree_matches_naive_oracle_small():
