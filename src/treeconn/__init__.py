@@ -3,7 +3,7 @@ verification of their coloring behavior at desk scale.
 
 All values are immutable after construction and every operation is a pure
 function, so concurrent read access is safe.  Hot loops run through the
-kernels module, compiled with numba unless TREECONN_BACKEND=python.
+kernels module, compiled when numba imports (see ``kernels`` for the flag).
 """
 
 from .config import DEFAULT_BUDGET, Budget, RunConfig

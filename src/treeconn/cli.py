@@ -8,6 +8,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .colorings import annotate, invariant_set, lower_top, prune_top, to_strong
@@ -124,35 +125,19 @@ def _labels_from_table(path: str) -> dict[int, str]:
     return labels
 
 
-def _budget_from_args(args) -> Budget:
-    defaults = {}
-    if getattr(args, "config", None):
-        defaults = json.loads(Path(args.config).read_text())
-    kwargs = {
-        "max_tree_size": defaults.get("max_tree_size", 8),
-        "max_vertices": defaults.get("max_vertices", 24),
-        "max_hom": defaults.get("max_hom", 200_000),
-        "max_nodes": defaults.get("max_nodes", 20_000_000),
-        "time_cap": defaults.get("time_cap"),
-    }
-    if args.budget_max_tree is not None:
-        kwargs["max_tree_size"] = args.budget_max_tree
-    if args.budget_max_vertices is not None:
-        kwargs["max_vertices"] = args.budget_max_vertices
-    if args.budget_max_hom is not None:
-        kwargs["max_hom"] = args.budget_max_hom
-    if args.budget_max_nodes is not None:
-        kwargs["max_nodes"] = args.budget_max_nodes
-    if args.budget_time is not None:
-        kwargs["time_cap"] = args.budget_time
-    return Budget(**kwargs)
-
-
 def _config_from_args(args) -> RunConfig:
-    mode = args.mode
-    if mode is None and getattr(args, "config", None):
-        mode = json.loads(Path(args.config).read_text()).get("mode")
-    return RunConfig(budget=_budget_from_args(args), mode=mode or "canonical")
+    """The --config file's values over the defaults, then the --budget-*
+    flags (stored under the Budget field names) over those.  A key that
+    names neither a Budget field nor ``mode`` is an error, not a silently
+    ignored limit."""
+    keys = json.loads(Path(args.config).read_text()) if args.config else {}
+    file_mode = keys.pop("mode", None)
+    names = [f.name for f in fields(Budget)]
+    unknown = sorted(set(keys) - set(names))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    flags = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    return RunConfig(replace(Budget(**keys), **flags), args.mode or file_mode or "canonical")
 
 
 def _cmd_enum(args) -> int:
@@ -173,7 +158,6 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    cfg = _config_from_args(args)
     kind = args.kind
     if kind == "doubling":
         result = doubling_tree(load_tree(args.inputs[0]))
@@ -290,11 +274,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--mode", choices=("canonical", "fast"), default=None)
     ap.add_argument("--config", help="JSON file of default budget/mode values; flags win")
-    ap.add_argument("--budget-max-tree", type=int, default=None)
-    ap.add_argument("--budget-max-vertices", type=int, default=None)
-    ap.add_argument("--budget-max-hom", type=int, default=None)
-    ap.add_argument("--budget-max-nodes", type=int, default=None)
-    ap.add_argument("--budget-time", type=float, default=None)
+    ap.add_argument("--budget-max-tree", dest="max_tree_size", type=int)
+    ap.add_argument("--budget-max-vertices", dest="max_vertices", type=int)
+    ap.add_argument("--budget-max-hom", dest="max_hom", type=int)
+    ap.add_argument("--budget-max-nodes", dest="max_nodes", type=int)
+    ap.add_argument("--budget-time", dest="time_cap", type=float)
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", help="enumerate or count a Hom-set")

@@ -42,7 +42,6 @@ class RunConfig:
 
     budget: Budget = DEFAULT_BUDGET
     mode: str = "canonical"
-    output: str = "text"   # text | json | dot
 
     def __post_init__(self):
         if self.mode not in MODES:

@@ -10,13 +10,13 @@ class ParseError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A configured budget was hit.
+    """A configured budget was hit; ``kind`` names that ``Budget`` field.
 
     Enumerations raise this; searches turn it into an ``unknown`` verdict.
     It is a distinct outcome, never a silent truncation.
     """
 
-    def __init__(self, message: str, *, kind: str = "budget"):
+    def __init__(self, message: str, *, kind: str):
         super().__init__(message)
         self.kind = kind
 

@@ -1,5 +1,14 @@
 """Exhaustive, deterministic enumeration of Hom-sets for every category tag.
 
+A ``HomSet`` keeps Hom(S, T) as a read-only int64 array, one row per
+morphism, and builds ``Connection`` objects only on indexing or iteration.
+A row is the embedding S -> T (emb, incinj), the surjection T -> S (rigid),
+or surjection | embedding (the pair categories).  A psc surjection is padded
+with -1 past its top, which is the embedding's last value (the pair is
+strong).  Rows are in lexicographic order, the canonical order, so a shorter
+psc prefix sorts first; re-running yields identical arrays.
+``composite_indices`` composes whole Hom-sets on these arrays.
+
 Surjection-bearing Hom-sets are generated from embeddings: every rigid
 surjection is the unique extension of its induced embedding (its skeleton)
 by choices at the positions off the skeleton.  Rigid surjections alone are
@@ -7,27 +16,26 @@ filled skeleton by skeleton.  Connections, and partial strong pairs once per
 initial segment, are generated pair-first: each (skeleton, embedding) pair
 that can carry a connection is expanded directly over the values its free
 positions allow, so ``max_hom`` bounds the output before any row exists and
-no skeleton x embedding cross product is built.  Results are sorted into
-lexicographic order on (surjection sequence, embedding sequence); re-running
-yields identical sequences.  The slow filter-all-maps generators live in the
-test suite as oracles.
+no skeleton x embedding cross product is built.  The slow filter-all-maps
+generators live in the test suite as oracles.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import kernels
 from .config import DEFAULT_BUDGET, Budget
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidMorphismError
 from .morphisms import (
     CONN,
     CONN_LINEAR,
     CONN_ROOT,
     EMB,
+    EMB_ONLY,
     INC_INJ,
     PSC,
     RIGID,
@@ -37,37 +45,46 @@ from .morphisms import (
 from .trees import OrderedTree
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HomSet:
-    """An enumerated Hom-set: no duplicates, canonical lexicographic order."""
+    """Hom(source, target) in canonical order: one read-only row of ``rows``
+    per morphism, laid out as the module docstring says."""
 
     category: str
     source: OrderedTree
     target: OrderedTree
-    morphisms: tuple[Connection, ...]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        self.rows.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.morphisms)
+        return len(self.rows)
 
-    def __iter__(self):
-        return iter(self.morphisms)
+    def __iter__(self) -> Iterator[Connection]:
+        return map(self._connection, self.rows.tolist())
 
     def __getitem__(self, i: int) -> Connection:
-        return self.morphisms[i]
+        return self._connection(self.rows[i].tolist())
 
-    @cached_property
-    def _index(self) -> dict:
-        return {c.key(): i for i, c in enumerate(self.morphisms)}
-
-    def index_of(self, c: Connection) -> int:
-        return self._index[c.key()]
+    def _connection(self, row: list[int]) -> Connection:
+        cat, S, T = self.category, self.source, self.target
+        if cat in EMB_ONLY:
+            return Connection(cat, None, TreeMap(S, T, row))
+        if cat == RIGID:
+            return Connection(cat, TreeMap(T, S, row), None)
+        emb = TreeMap(S, T, row[T.n:])
+        if cat == PSC:
+            return Connection(cat, TreeMap(T, S, row[: row[-1] + 1], domain_top=row[-1]), emb)
+        return Connection(cat, TreeMap(T, S, row[: T.n]), emb)
 
 
 def _check_sizes(budget: Budget, *trees: OrderedTree) -> None:
     for t in trees:
         if t.n > budget.max_vertices:
             raise BudgetExceededError(
-                f"tree with {t.n} vertices exceeds budget max_vertices={budget.max_vertices}"
+                f"tree with {t.n} vertices exceeds budget max_vertices={budget.max_vertices}",
+                kind="max_vertices",
             )
 
 
@@ -94,26 +111,25 @@ def _emb_rows(S: OrderedTree, T: OrderedTree, budget: Budget, *, linear: bool = 
     count, out = kernels.embedding_search(meet_s, meet_t, not linear, cap)
     if count > budget.max_hom:
         raise BudgetExceededError(
-            f"{count} embeddings exceed budget max_hom={budget.max_hom}"
+            f"{count} embeddings exceed budget max_hom={budget.max_hom}", kind="max_hom"
         )
     if count > cap:
         count, out = kernels.embedding_search(meet_s, meet_t, not linear, count)
     return out[:count].copy()
 
 
-def _rigid_rows(frm: OrderedTree, onto: OrderedTree, budget: Budget, *, linear: bool = False) -> np.ndarray:
+def _rigid_rows(frm: OrderedTree, onto: OrderedTree, budget: Budget) -> np.ndarray:
     """Rows of rigid surjections frm -> onto, in lexicographic order."""
-    skels = _emb_rows(onto, frm, budget, linear=linear)
+    skels = _emb_rows(onto, frm, budget)
     if len(skels) == 0:
         return np.empty((0, frm.n), dtype=np.int64)
-    dom = _leq_matrix(frm.n) if linear else frm.anc
-    count = int(kernels.rigid_count(skels, dom, budget.max_hom))
+    count = int(kernels.rigid_count(skels, frm.anc, budget.max_hom))
     if count > budget.max_hom:
         raise BudgetExceededError(
-            f"more than max_hom={budget.max_hom} rigid surjections"
+            f"more than max_hom={budget.max_hom} rigid surjections", kind="max_hom"
         )
     out = np.empty((count, frm.n), dtype=np.int64)
-    filled = kernels.rigid_fill(skels, dom, out)
+    filled = kernels.rigid_fill(skels, frm.anc, out)
     assert filled == count
     if count > 1:
         out = out[np.lexsort(out.T[::-1])]
@@ -138,36 +154,21 @@ def enumerate_embeddings(S: OrderedTree, T: OrderedTree,
                          budget: Budget = DEFAULT_BUDGET) -> HomSet:
     """All tree embeddings S -> T."""
     _check_sizes(budget, S, T)
-    rows = _emb_rows(S, T, budget)
-    morphisms = tuple(
-        Connection(EMB, None, TreeMap(S, T, tuple(int(v) for v in row)))
-        for row in rows
-    )
-    return HomSet(EMB, S, T, morphisms)
+    return HomSet(EMB, S, T, _emb_rows(S, T, budget))
 
 
 def enumerate_increasing_injections(S: OrderedTree, T: OrderedTree,
                                     budget: Budget = DEFAULT_BUDGET) -> HomSet:
     """All increasing injections between the underlying linear orders."""
     _check_sizes(budget, S, T)
-    rows = _emb_rows(S, T, budget, linear=True)
-    morphisms = tuple(
-        Connection(INC_INJ, None, TreeMap(S, T, tuple(int(v) for v in row)))
-        for row in rows
-    )
-    return HomSet(INC_INJ, S, T, morphisms)
+    return HomSet(INC_INJ, S, T, _emb_rows(S, T, budget, linear=True))
 
 
 def enumerate_rigid_surjections(frm: OrderedTree, onto: OrderedTree,
                                 budget: Budget = DEFAULT_BUDGET) -> HomSet:
     """All rigid surjections frm -> onto, as the Hom-set Hom(onto, frm)."""
     _check_sizes(budget, frm, onto)
-    rows = _rigid_rows(frm, onto, budget)
-    morphisms = tuple(
-        Connection(RIGID, TreeMap(frm, onto, tuple(int(v) for v in row)), None)
-        for row in rows
-    )
-    return HomSet(RIGID, onto, frm, morphisms)
+    return HomSet(RIGID, onto, frm, _rigid_rows(frm, onto, budget))
 
 
 def enumerate_connections(S: OrderedTree, T: OrderedTree, category: str = CONN,
@@ -182,12 +183,8 @@ def enumerate_connections(S: OrderedTree, T: OrderedTree, category: str = CONN,
     dom = _leq_matrix(T.n) if linear else T.anc
     rows = kernels.connection_rows(skels, embs, dom, budget.max_hom)
     if rows is None:
-        raise BudgetExceededError(f"more than max_hom={budget.max_hom} connections")
-    morphisms = tuple(
-        Connection(category, TreeMap(T, S, row[:T.n]), TreeMap(S, T, row[T.n:]))
-        for row in rows.tolist()
-    )
-    return HomSet(category, S, T, morphisms)
+        raise BudgetExceededError(f"more than max_hom={budget.max_hom} connections", kind="max_hom")
+    return HomSet(category, S, T, rows)
 
 
 def enumerate_psc(S: OrderedTree, T: OrderedTree,
@@ -210,25 +207,13 @@ def enumerate_psc(S: OrderedTree, T: OrderedTree,
                                        T.anc[: v + 1, : v + 1], budget.max_hom - found)
         if part is None:
             raise BudgetExceededError(
-                f"more than max_hom={budget.max_hom} partial strong pairs"
+                f"more than max_hom={budget.max_hom} partial strong pairs", kind="max_hom"
             )
         found += len(part)
         # Pad the surjection to T.n with -1: a shorter prefix sorts first.
-        padded = np.full((len(part), T.n + S.n), -1, dtype=np.int64)
-        padded[:, : v + 1] = part[:, : v + 1]
-        padded[:, T.n:] = part[:, v + 1:]
-        parts.append(padded)
+        parts.append(np.insert(part, [v + 1] * (T.n - 1 - v), -1, axis=1))
     allrows = np.concatenate(parts)
-    allrows = allrows[np.lexsort(allrows.T[::-1])]
-    morphisms = tuple(
-        Connection(
-            PSC,
-            TreeMap(T, S, row[: row[-1] + 1], domain_top=row[-1]),
-            TreeMap(S, T, row[T.n:]),
-        )
-        for row in allrows.tolist()
-    )
-    return HomSet(PSC, S, T, morphisms)
+    return HomSet(PSC, S, T, allrows[np.lexsort(allrows.T[::-1])])
 
 
 def enumerate_hom(category: str, S: OrderedTree, T: OrderedTree,
@@ -243,3 +228,44 @@ def enumerate_hom(category: str, S: OrderedTree, T: OrderedTree,
     if category == PSC:
         return enumerate_psc(S, T, budget)
     return enumerate_connections(S, T, category, budget)
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Bytes keys (big-endian entries + 1) in the lexicographic row order."""
+    data = np.ascontiguousarray(rows + 1, dtype=">u8")
+    return data.view(np.dtype((np.void, 8 * data.shape[-1])))[..., 0]
+
+
+def composite_rows(hom_st: HomSet, g_rows: np.ndarray) -> np.ndarray:
+    """Rows in Hom(S, V) of f o g for each g in ``g_rows`` (rows of Hom(T, V))
+    and each f in ``hom_st``, shape (len(g_rows), len(hom_st), width); the
+    rule of ``morphisms.compose``."""
+    cat, f = hom_st.category, hom_st.rows
+    gi, fi = np.arange(len(g_rows))[:, None, None], np.arange(len(f))[:, None]
+    if cat in EMB_ONLY:
+        return g_rows[gi, f]  # g_e[f_e]
+    if cat == RIGID:
+        return f[fi, g_rows[:, None, :]]  # f_s[g_s]
+    tn = hom_st.target.n
+    vn = g_rows.shape[1] - tn
+    h_s = f[fi, g_rows[:, None, :vn]]  # f_s[g_s]
+    h_e = g_rows[gi, vn + f[:, tn:]]  # g_e[f_e]
+    if cat == PSC:
+        # Keep h_s up to the new top g_e[f_top] = h_e[-1].  The -1 padding of
+        # g_s lies past g's top, so past the new top too.
+        h_s[np.arange(vn) > h_e[..., -1:]] = -1
+    return np.concatenate((h_s, h_e), axis=2)
+
+
+def composite_indices(hom_st: HomSet, hom_tv: HomSet, hom_sv: HomSet) -> Iterator[np.ndarray]:
+    """Indices in ``hom_sv`` of every f o g, as (block, len(hom_st)) arrays
+    over blocks of g of about ``kernels._BLOCK_CELLS`` composite cells.
+    A composite missing from ``hom_sv`` raises InvalidMorphismError."""
+    keys = _row_keys(hom_sv.rows)
+    step = max(1, kernels._BLOCK_CELLS // max(len(hom_st) * hom_sv.rows.shape[1], 1))
+    for lo in range(0, len(hom_tv), step):
+        want = _row_keys(composite_rows(hom_st, hom_tv.rows[lo: lo + step]))
+        idx = np.searchsorted(keys, want)
+        if len(keys) == 0 or (keys[np.minimum(idx, len(keys) - 1)] != want).any():
+            raise InvalidMorphismError("composite missing from enumerated Hom(S, V)")
+        yield idx

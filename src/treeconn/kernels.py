@@ -7,8 +7,9 @@ checks the doubling stability condition on the pairs.  These are plain
 numpy, vectorised over pairs in blocks of a fixed cell count.
 
 The loop kernels (embedding backtracking, rigid-surjection count and fill,
-the coloring searches) are compiled with numba when available; setting
-``TREECONN_BACKEND=python`` selects the same code interpreted.
+the coloring searches) are compiled with numba when it imports and run
+interpreted otherwise.  ``TREECONN_BACKEND=python`` selects the interpreted
+code; ``TREECONN_BACKEND=numba`` demands numba and fails at import without it.
 ``perfbench/run.py`` measures both kinds end to end and per kernel.
 """
 
@@ -18,20 +19,21 @@ import os
 
 import numpy as np
 
-_REQUESTED = os.environ.get("TREECONN_BACKEND", "numba").strip().lower()
-if _REQUESTED not in ("numba", "python"):
+_REQUESTED = os.environ.get("TREECONN_BACKEND", "").strip().lower()
+if _REQUESTED not in ("", "numba", "python"):
     raise RuntimeError(
-        f"TREECONN_BACKEND={_REQUESTED!r} not understood; use 'numba' or 'python'"
+        f"TREECONN_BACKEND={_REQUESTED!r} not understood; unset it or use 'numba' or 'python'"
     )
 
 JIT_ENABLED = False
-if _REQUESTED == "numba":
+if _REQUESTED != "python":
     try:
         from numba import njit as _njit
 
         JIT_ENABLED = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        JIT_ENABLED = False
+    except ImportError:
+        if _REQUESTED == "numba":
+            raise RuntimeError("TREECONN_BACKEND=numba, but numba cannot be imported") from None
 
 BACKEND = "numba" if JIT_ENABLED else "python"
 

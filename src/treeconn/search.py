@@ -19,7 +19,8 @@ from .errors import (
     DegenerateInputError,
     InvalidMorphismError,
 )
-from .homsets import HomSet, _emb_rows, count_rigid_surjections, enumerate_connections, enumerate_hom
+from .homsets import (HomSet, _emb_rows, composite_indices, count_rigid_surjections,
+                      enumerate_connections, enumerate_hom)
 from .morphisms import CONN, Connection, TreeMap, compose, induced_embedding, validate_connection
 from .trees import OrderedTree
 
@@ -108,43 +109,27 @@ def copy_family(S: OrderedTree, T: OrderedTree, V: OrderedTree, category: str,
         raise DegenerateInputError("Hom(T, V) is empty; no copies exist")
     hom_sv = enumerate_hom(category, S, V, budget)
     copies = []
-    for g in hom_tv:
-        seen = set()
-        for f in hom_st:
-            h = compose(f, g)
-            try:
-                seen.add(hom_sv.index_of(h))
-            except KeyError as exc:  # pragma: no cover - enumeration bug guard
-                raise InvalidMorphismError(
-                    "composite missing from enumerated Hom(S, V); enumeration bug"
-                ) from exc
-        copies.append(tuple(sorted(seen)))
+    hit = np.zeros(len(hom_sv), dtype=bool)
+    for block in composite_indices(hom_st, hom_tv, hom_sv):
+        hit[block] = True
+        copies.extend(tuple(sorted(set(row))) for row in block.tolist())
+    # compose() validates every composite; validate each distinct one once.
+    for i in np.flatnonzero(hit).tolist():
+        validate_connection(hom_sv[i])
     return CopyFamily(category, hom_st, hom_tv, hom_sv, tuple(copies))
 
 
-def _dedup_copies(fam: CopyFamily) -> list[tuple[int, ...]]:
-    return sorted(set(fam.copies))
-
-
 def _csr(copies: list[tuple[int, ...]], n_items: int):
-    cstart = np.zeros(len(copies) + 1, dtype=np.int64)
-    for i, cp in enumerate(copies):
-        cstart[i + 1] = cstart[i] + len(cp)
-    citems = np.empty(int(cstart[-1]), dtype=np.int64)
-    for i, cp in enumerate(copies):
-        citems[cstart[i]:cstart[i + 1]] = cp
+    """Copy -> items and item -> copies in compressed form.  Each item
+    lists its copies in increasing order (a stable sort of the items)."""
     clen = np.array([len(cp) for cp in copies], dtype=np.int64)
-    member: list[list[int]] = [[] for _ in range(n_items)]
-    for i, cp in enumerate(copies):
-        for it in cp:
-            member[it].append(i)
-    istart = np.zeros(n_items + 1, dtype=np.int64)
-    for it in range(n_items):
-        istart[it + 1] = istart[it] + len(member[it])
-    icopies = np.empty(int(istart[-1]), dtype=np.int64)
-    for it in range(n_items):
-        icopies[istart[it]:istart[it + 1]] = member[it]
-    maxdeg = max((len(m) for m in member), default=0)
+    cstart = np.concatenate(([0], np.cumsum(clen)))
+    citems = np.array([it for cp in copies for it in cp], dtype=np.int64)
+    degree = np.bincount(citems, minlength=n_items)
+    istart = np.concatenate(([0], np.cumsum(degree)))
+    owner = np.repeat(np.arange(len(copies), dtype=np.int64), clen)
+    icopies = owner[np.argsort(citems, kind="stable")]
+    maxdeg = int(degree.max(initial=0))
     return cstart, citems, clen, istart, icopies, maxdeg
 
 
@@ -208,7 +193,7 @@ def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
 
 def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str):
     n = fam.n_items
-    copies = _dedup_copies(fam)
+    copies = sorted(set(fam.copies))
     cstart, citems, clen, istart, icopies, maxdeg = _csr(copies, n)
     order = _order(mode, istart, n)
     col = np.full(n, -1, dtype=np.int64)
@@ -268,7 +253,7 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
             f"degree search handles at most {_MAX_MASK_COLORS} colors; "
             f"{r_eff} are in play ({n} items, r={r})"
         )
-    copies = _dedup_copies(fam)
+    copies = sorted(set(fam.copies))
     cstart, citems, clen, istart, icopies, maxdeg = _csr(copies, n)
     order = _order(mode, istart, n)
     col = np.full(n, -1, dtype=np.int64)

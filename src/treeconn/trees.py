@@ -335,7 +335,8 @@ def enumerate_trees(n: int, budget: Budget = DEFAULT_BUDGET) -> Iterator[Ordered
         raise ValueError("tree size must be >= 1")
     if n > budget.max_tree_size:
         raise BudgetExceededError(
-            f"tree size {n} exceeds budget max_tree_size={budget.max_tree_size}"
+            f"tree size {n} exceeds budget max_tree_size={budget.max_tree_size}",
+            kind="max_tree_size",
         )
     parent = [ROOT] * n
 

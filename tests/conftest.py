@@ -193,3 +193,37 @@ def doubling_pair_sweep_loop(ms, js, anc, base, first_double, viol_out):
                     viol_out[nviol] = (p, q)
                 nviol += 1
     return nfeas, nviol
+
+
+def copy_family_loop(S, T, V, category):
+    """Loop reference for ``search.copy_family``: Hom(S, V) as (key, top)
+    pairs, and for each g in Hom(T, V) the sorted indices in Hom(S, V) of
+    ``tc.compose(f, g)`` over all f in Hom(S, T), found by key lookup."""
+    hom_st = list(tc.enumerate_hom(category, S, T))
+    hom_sv = [(h.key(), h.top) for h in tc.enumerate_hom(category, S, V)]
+    index = {key: i for i, (key, _) in enumerate(hom_sv)}
+    copies = tuple(
+        tuple(sorted({index[tc.compose(f, g).key()] for f in hom_st}))
+        for g in tc.enumerate_hom(category, T, V)
+    )
+    return hom_sv, copies
+
+
+def csr_loop(copies, n_items):
+    """Loop reference for ``search._csr``: each item lists the copies that
+    contain it in the order the copies come."""
+    cstart = [0]
+    for cp in copies:
+        cstart.append(cstart[-1] + len(cp))
+    citems = [it for cp in copies for it in cp]
+    clen = [len(cp) for cp in copies]
+    member = [[] for _ in range(n_items)]
+    for i, cp in enumerate(copies):
+        for it in cp:
+            member[it].append(i)
+    istart = [0]
+    for m in member:
+        istart.append(istart[-1] + len(m))
+    icopies = [i for m in member for i in m]
+    maxdeg = max((len(m) for m in member), default=0)
+    return cstart, citems, clen, istart, icopies, maxdeg

@@ -151,6 +151,19 @@ def test_config_file_flags_win(tmp_path, capsys):
     assert code == 0  # flag overrides config
 
 
+def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_hom_": 1, "mode": "fast"}))
+    code, out, err = run_cli(capsys, "--config", str(cfg), "--mode", "canonical",
+                             "enum", "conn", "chain2", "chain3", "--count")
+    assert code == 3
+    assert "max_hom_" in err and out == ""
+    cfg.write_text(json.dumps({"max_hom": 1, "mode": "fast"}))
+    code, _, err = run_cli(capsys, "--config", str(cfg), "--mode", "canonical",
+                           "enum", "conn", "chain2", "chain3", "--count")
+    assert code == 2  # the limit the file sets applies
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "treeconn", "enum", "conn", "chain2", "chain3", "--count"],

@@ -1,9 +1,11 @@
 import time
 
+import numpy as np
 import pytest
 
 import treeconn as tc
 from treeconn.errors import BudgetExceededError
+from treeconn.homsets import _row_keys
 from conftest import (
     conn_oracle,
     emb_oracle,
@@ -103,6 +105,43 @@ def test_budget_errors():
     small_hom = tc.Budget(max_hom=2)
     with pytest.raises(BudgetExceededError):
         tc.enumerate_rigid_surjections(C3, C2, budget=small_hom)
+
+
+@pytest.mark.parametrize("call, kind, message", [
+    (lambda: tc.enumerate_hom(tc.EMB, C2, tc.chain(5), tc.Budget(max_vertices=4)),
+     "max_vertices", "vertices exceeds"),
+    (lambda: tc.enumerate_embeddings(C2, tc.chain(5), tc.Budget(max_hom=3)),
+     "max_hom", "embeddings exceed"),
+    (lambda: tc.enumerate_rigid_surjections(C3, C2, tc.Budget(max_hom=2)),
+     "max_hom", "rigid surjections"),
+    (lambda: tc.enumerate_connections(C2, C3, budget=tc.Budget(max_hom=3)),
+     "max_hom", "connections"),
+    (lambda: tc.enumerate_psc(C2, C3, tc.Budget(max_hom=2)),
+     "max_hom", "partial strong pairs"),
+    (lambda: list(tc.enumerate_trees(5, tc.Budget(max_tree_size=4))),
+     "max_tree_size", "tree size"),
+])
+def test_budget_error_names_its_limit(call, kind, message):
+    with pytest.raises(BudgetExceededError, match=message) as info:
+        call()
+    assert info.value.kind == kind
+
+
+def test_hom_rows_are_read_only():
+    for category in tc.CATEGORIES:
+        hom = tc.enumerate_hom(category, C2, C3)
+        assert len(hom) > 0
+        assert not hom.rows.flags.writeable
+        with pytest.raises(ValueError):
+            hom.rows[0, 0] = 1
+        assert [c.key() for c in hom] == [hom[i].key() for i in range(len(hom))]
+
+
+def test_row_keys_follow_lexicographic_row_order():
+    # Entries past 255 need more than one byte; -1 is the psc padding.
+    rows = np.array([[-1, 300], [0, 5], [0, 256], [1, -1], [255, 0], [256, 0]])
+    keys = _row_keys(rows)
+    assert np.array_equal(np.argsort(keys, kind="stable"), np.arange(len(rows)))
 
 
 def test_large_embedding_set_grows_buffer():

@@ -1,9 +1,15 @@
 """The compiled kernels must agree exactly with their interpreted fallbacks,
 and the numpy kernels with the loop references in conftest."""
 
+import importlib.util
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 import treeconn as tc
 from treeconn import kernels
@@ -159,6 +165,22 @@ def test_resumable_search_pauses_and_resumes():
     one = tc.arrow_check(tc.chain(2), tc.chain(3), tc.chain(6), 2, tc.INC_INJ)
     assert one.verdict == "arrows"
     assert one.explored == int(state[1])
+
+
+@pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
+                    reason="numba is installed")
+def test_explicit_numba_backend_without_numba_fails_at_import():
+    env = dict(os.environ, PYTHONPATH=str(Path(tc.__file__).parents[1]))
+    code = "import treeconn; print(treeconn.kernels.BACKEND)"
+    env.pop("TREECONN_BACKEND", None)
+    auto = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert auto.returncode == 0 and auto.stdout.strip() == "python"
+    env["TREECONN_BACKEND"] = "numba"
+    explicit = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+    assert explicit.returncode != 0
+    assert "RuntimeError: TREECONN_BACKEND=numba" in explicit.stderr
 
 
 def test_backend_flag_is_reported():

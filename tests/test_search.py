@@ -1,14 +1,86 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
 import treeconn as tc
+from treeconn import kernels, search
 from treeconn.errors import DegenerateInputError, InvalidMorphismError
-from treeconn.search import count_outer_pairs
-from conftest import naive_bad_coloring, naive_degree
+from treeconn.homsets import HomSet
+from treeconn.search import _csr, count_outer_pairs
+from conftest import copy_family_loop, csr_loop, naive_bad_coloring, naive_degree, small_trees
 
 C1, C2, C3 = tc.chain(1), tc.chain(2), tc.chain(3)
+D1 = tc.doubling_tree(C2).tree
+D2 = tc.doubling_tree(D1).tree
+
+
+def _assert_family_matches_loop(S, T, V, category):
+    try:
+        fam = tc.copy_family(S, T, V, category)
+    except DegenerateInputError:
+        return 0
+    hom_sv, copies = copy_family_loop(S, T, V, category)
+    assert [(h.key(), h.top) for h in fam.hom_sv] == hom_sv
+    assert fam.copies == copies
+    return 1
+
+
+@pytest.mark.parametrize("category", tc.CATEGORIES)
+def test_copy_family_matches_compose_loop(category):
+    checked = 0
+    for S in small_trees(3):
+        for T in small_trees(4):
+            for V in small_trees(4):
+                checked += _assert_family_matches_loop(S, T, V, category)
+    assert checked > 0
+
+
+@pytest.mark.parametrize("block_cells", [kernels._BLOCK_CELLS, 1])
+def test_copy_family_of_doublings_matches_compose_loop(monkeypatch, block_cells):
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", block_cells)
+    for category in (tc.CONN, tc.PSC, tc.RIGID, tc.CONN_ROOT):
+        assert _assert_family_matches_loop(C2, D1, D2, category) == 1
+
+
+@pytest.mark.parametrize("category", [tc.INC_INJ, tc.RIGID, tc.CONN, tc.PSC])
+@pytest.mark.parametrize("which", [0, -1])
+def test_copy_family_rejects_a_missing_composite(monkeypatch, category, which):
+    V = tc.chain(4)
+    hit = sorted({i for cp in tc.copy_family(C2, C3, V, category).copies for i in cp})
+    drop = hit[which]
+    enumerate_hom = search.enumerate_hom
+
+    def without_one_row(cat, A, B, budget=tc.DEFAULT_BUDGET):
+        hom = enumerate_hom(cat, A, B, budget)
+        if (A, B) != (C2, V):  # Hom(S, V) only
+            return hom
+        return HomSet(cat, A, B, np.delete(hom.rows, drop, axis=0))
+
+    monkeypatch.setattr(search, "enumerate_hom", without_one_row)
+    with pytest.raises(InvalidMorphismError, match="missing"):
+        tc.copy_family(C2, C3, V, category)
+
+
+def test_copy_family_validates_each_distinct_composite_once(monkeypatch):
+    validated = []
+    monkeypatch.setattr(search, "validate_connection", lambda c: validated.append(c.key()))
+    fam = tc.copy_family(C2, D1, D2, tc.PSC)
+    assert len(validated) == len(set(validated))
+    assert set(validated) == {fam.hom_sv[i].key() for cp in fam.copies for i in cp}
+
+
+def test_csr_matches_loop_reference():
+    fam = tc.copy_family(C2, D1, D2, tc.CONN)
+    cases = [(sorted(set(fam.copies)), len(fam.hom_sv)), ([(1, 3), (0, 3), (3,)], 5), ([], 0)]
+    for copies, n in cases:
+        got = _csr(copies, n)
+        want = csr_loop(copies, n)
+        for a, b in zip(got[:5], want[:5]):
+            assert a.dtype == np.int64
+            assert a.tolist() == b
+        assert got[5] == want[5]
 
 
 def test_copy_family_sizes():
