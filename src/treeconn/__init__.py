@@ -65,7 +65,6 @@ from .morphisms import (
     is_connection,
     is_embedding,
     is_increasing_injection,
-    is_linear_connection,
     is_rigid_surjection,
     is_sealed,
     is_strong,

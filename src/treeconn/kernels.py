@@ -240,22 +240,39 @@ def pair_filter(surjs, embs, caps):
 @_jit
 def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
                      col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen,
-                     state, node_budget):
+                     state, node_budget, forbid, nforb, fbuf, flen):
     """Resumable depth-first search for a coloring with no monochromatic copy.
 
     Items are colored in the order given by ``order`` with colors tried
     ascending, restricted to at most one fresh color beyond those already
     used (any bad coloring has a representative of this form, and with the
     identity order the first hit is the lexicographically least bad
-    coloring).  A branch dies as soon as some copy becomes fully assigned
-    and monochromatic.
+    coloring).  Each color tried counts one node.
 
-    state = [depth, explored]; all other arrays persist across calls so the
-    search can be paused on the node budget and resumed.
+    Forward checking: a copy whose assigned items all have color c, with one
+    item u left unassigned, forbids c on u.  forbid[u, c] counts the copies
+    forbidding c on u, nforb[u] the colors forbidden on u; the caller seeds
+    them with every color on the item of each one-item copy.  A forbidden
+    color is tried and skipped, and a step after which some item has all r
+    colors forbidden is undone at once; with a one-item copy the search is
+    exhausted before the first step.  Pruned subtrees hold no bad coloring,
+    so the first hit is the same as without the pruning.
+
+    Per-copy state: ccnt assigned items, ccol the color of the first, cmix
+    whether two colors are present.  The step at depth d records the copies
+    it made mixed in ubuf[d, :ulen[d]] and its forbids, as u * r + c, in
+    fbuf[d, :flen[d]].  state = [depth, explored]; all arrays persist
+    across calls so the search can be paused on the node budget and resumed.
     """
     n = order.shape[0]
     d = state[0]
     explored = state[1]
+    if n > 0 and d == 0 and nxt[0] == 0:
+        # Before the first step: a one-item copy leaves no bad coloring.
+        for u in range(n):
+            if nforb[u] == r:
+                state[0] = -1
+                return EXHAUSTED
     while True:
         if d == n:
             state[0] = d
@@ -267,7 +284,6 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
         m2 = maxu[d] + 2
         if m2 < lim:
             lim = m2
-        chosen = np.int64(-1)
         while c < lim:
             if explored >= node_budget:
                 nxt[d] = c
@@ -275,77 +291,103 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
                 state[1] = explored
                 return PAUSED
             explored += 1
-            dead = False
-            for tpos in range(istart[it], istart[it + 1]):
-                k = icopies[tpos]
-                if ccnt[k] + 1 == clen[k] and cmix[k] == 0:
-                    if ccnt[k] == 0 or ccol[k] == c:
-                        dead = True
-                        break
-            if not dead:
-                chosen = c
+            if forbid[it, c] == 0:
                 break
             c += 1
-        if chosen < 0:
+        if c < lim:
+            col[it] = c
+            ul = 0
+            fl = 0
+            wiped = False
+            for tpos in range(istart[it], istart[it + 1]):
+                k = icopies[tpos]
+                if ccnt[k] == 0:
+                    ccol[k] = c
+                elif cmix[k] == 0 and ccol[k] != c:
+                    cmix[k] = 1
+                    ubuf[d, ul] = k
+                    ul += 1
+                ccnt[k] += 1
+                if ccnt[k] + 1 == clen[k] and cmix[k] == 0:
+                    u = it
+                    for ipos in range(cstart[k], cstart[k + 1]):
+                        u = citems[ipos]
+                        if col[u] < 0:
+                            break
+                    f = ccol[k]
+                    if forbid[u, f] == 0:
+                        nforb[u] += 1
+                        if nforb[u] == r:
+                            wiped = True
+                    forbid[u, f] += 1
+                    fbuf[d, fl] = u * r + f
+                    fl += 1
+            ulen[d] = ul
+            flen[d] = fl
+            nxt[d] = c + 1
+            if not wiped:
+                mu = maxu[d]
+                if c > mu:
+                    mu = c
+                maxu[d + 1] = mu
+                d += 1
+                if d < n:
+                    nxt[d] = 0
+                continue
+            # Some item has no color left: undo this step below, at depth d.
+        else:
             d -= 1
             if d < 0:
                 state[0] = d
                 state[1] = explored
                 return EXHAUSTED
-            prev = order[d]
-            for tpos in range(istart[prev], istart[prev + 1]):
-                ccnt[icopies[tpos]] -= 1
-            for u in range(ulen[d]):
-                cmix[ubuf[d, u]] = 0
-            col[prev] = -1
-            continue
-        ul = 0
-        for tpos in range(istart[it], istart[it + 1]):
-            k = icopies[tpos]
-            if ccnt[k] == 0:
-                ccol[k] = chosen
-            elif cmix[k] == 0 and ccol[k] != chosen:
-                cmix[k] = 1
-                ubuf[d, ul] = k
-                ul += 1
-            ccnt[k] += 1
-        ulen[d] = ul
-        col[it] = chosen
-        nxt[d] = chosen + 1
-        mu = maxu[d]
-        if chosen > mu:
-            mu = chosen
-        maxu[d + 1] = mu
-        d += 1
-        if d < n:
-            nxt[d] = 0
+        prev = order[d]
+        for tpos in range(istart[prev], istart[prev + 1]):
+            ccnt[icopies[tpos]] -= 1
+        for j in range(ulen[d]):
+            cmix[ubuf[d, j]] = 0
+        for j in range(flen[d]):
+            u = fbuf[d, j] // r
+            f = fbuf[d, j] - u * r
+            forbid[u, f] -= 1
+            if forbid[u, f] == 0:
+                nforb[u] -= 1
+        col[prev] = -1
 
 
 @_jit
-def _popcount(x):
-    c = 0
-    while x:
-        x &= x - 1
-        c += 1
-    return c
+def _degree_bound(hist, cap):
+    """Least copy value below cap (hist[v] copies have value v), else cap."""
+    for v in range(cap):
+        if hist[v] > 0:
+            return v
+    return cap
 
 
 @_jit
-def dfs_degree(cstart, citems, clen, istart, icopies, order, r, ncopies,
-               col, nxt, maxu, ccnt, cmask, ubuf, ulen,
-               state, best_col, node_budget):
+def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
+               col, nxt, maxu, cval, cmask, ubuf, ulen,
+               state, best_col, node_budget, hist):
     """Resumable branch-and-bound for max over colorings of the minimum
     number of colors attained on a copy.
 
-    state = [depth, explored, best, cap] where cap = min(r, smallest copy
-    size) is an a-priori upper bound; the search stops early when best
-    reaches it.  best_col holds the witness coloring for the current best.
+    cmask[k] holds the colors on copy k.  Its value cval[k] = clen[k] minus
+    its repeats (assigned items whose color the copy already had) bounds the
+    colors it can end with; the caller starts it at clen.  hist[v] counts the
+    copies of value v < cap, where cap = min(r, smallest copy size) is an
+    a-priori upper bound, so the bound at a node, min(cap, min cval), is a
+    scan of cap entries; at a leaf it is the attained minimum.  The step at
+    depth d records the copies it gave a new color in ubuf[d, :ulen[d]]; the
+    other copies of the item took a repeat.  A color is kept when the bound
+    after it exceeds the best so far; each color tried counts one node.
+
+    state = [depth, explored, best]; the search stops early when best
+    reaches cap.  best_col holds the witness coloring for the current best.
     """
     n = order.shape[0]
     d = state[0]
     explored = state[1]
     best = state[2]
-    cap = state[3]
     while True:
         if best >= cap:
             state[0] = d
@@ -353,11 +395,7 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, ncopies,
             state[2] = best
             return EXHAUSTED
         if d == n:
-            val = cap
-            for k in range(ncopies):
-                pc = _popcount(cmask[k])
-                if pc < val:
-                    val = pc
+            val = _degree_bound(hist, cap)
             if val > best:
                 best = val
                 for i in range(n):
@@ -368,79 +406,72 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, ncopies,
                 state[1] = explored
                 state[2] = best
                 return EXHAUSTED
-            prev = order[d]
-            for tpos in range(istart[prev], istart[prev + 1]):
-                ccnt[icopies[tpos]] -= 1
-            for u in range(ulen[d]):
-                cmask[ubuf[d, u]] &= ~(np.int64(1) << col[prev])
-            col[prev] = -1
-            continue
-        it = order[d]
-        c = nxt[d]
-        lim = r
-        m2 = maxu[d] + 2
-        if m2 < lim:
-            lim = m2
-        chosen = np.int64(-1)
-        while c < lim:
-            if explored >= node_budget:
-                nxt[d] = c
-                state[0] = d
-                state[1] = explored
-                state[2] = best
-                return PAUSED
-            explored += 1
-            # Tentatively apply, bound, and keep or roll back.
-            ul = 0
-            for tpos in range(istart[it], istart[it + 1]):
-                k = icopies[tpos]
+        else:
+            it = order[d]
+            c = nxt[d]
+            lim = r
+            m2 = maxu[d] + 2
+            if m2 < lim:
+                lim = m2
+            if c < lim:
+                if explored >= node_budget:
+                    nxt[d] = c
+                    state[0] = d
+                    state[1] = explored
+                    state[2] = best
+                    return PAUSED
+                explored += 1
+                col[it] = c
                 bit = np.int64(1) << c
-                if cmask[k] & bit == 0:
-                    cmask[k] |= bit
-                    ubuf[d, ul] = k
-                    ul += 1
-                ccnt[k] += 1
-            ub = cap
-            for k in range(ncopies):
-                pc = _popcount(cmask[k])
-                rem = clen[k] - ccnt[k]
-                room = r - pc
-                if rem < room:
-                    room = rem
-                if pc + room < ub:
-                    ub = pc + room
-            if ub > best:
-                chosen = c
+                ul = 0
+                for tpos in range(istart[it], istart[it + 1]):
+                    k = icopies[tpos]
+                    if cmask[k] & bit == 0:
+                        cmask[k] |= bit
+                        ubuf[d, ul] = k
+                        ul += 1
+                    else:
+                        v = cval[k]
+                        cval[k] = v - 1
+                        if v < cap:
+                            hist[v] -= 1
+                        if v - 1 < cap:
+                            hist[v - 1] += 1
                 ulen[d] = ul
-                break
-            for u in range(ul):
-                cmask[ubuf[d, u]] &= ~(np.int64(1) << c)
-            for tpos in range(istart[it], istart[it + 1]):
-                ccnt[icopies[tpos]] -= 1
-            c += 1
-        if chosen < 0:
-            d -= 1
-            if d < 0:
-                state[0] = d
-                state[1] = explored
-                state[2] = best
-                return EXHAUSTED
-            prev = order[d]
-            for tpos in range(istart[prev], istart[prev + 1]):
-                ccnt[icopies[tpos]] -= 1
-            for u in range(ulen[d]):
-                cmask[ubuf[d, u]] &= ~(np.int64(1) << col[prev])
-            col[prev] = -1
-            continue
-        col[it] = chosen
-        nxt[d] = chosen + 1
-        mu = maxu[d]
-        if chosen > mu:
-            mu = chosen
-        maxu[d + 1] = mu
-        d += 1
-        if d < n:
-            nxt[d] = 0
+                nxt[d] = c + 1
+                if _degree_bound(hist, cap) > best:
+                    mu = maxu[d]
+                    if c > mu:
+                        mu = c
+                    maxu[d + 1] = mu
+                    d += 1
+                    if d < n:
+                        nxt[d] = 0
+                    continue
+                # The bound cannot beat best: undo this step below, at depth d.
+            else:
+                d -= 1
+                if d < 0:
+                    state[0] = d
+                    state[1] = explored
+                    state[2] = best
+                    return EXHAUSTED
+        prev = order[d]
+        bit = np.int64(1) << col[prev]
+        j = 0
+        for tpos in range(istart[prev], istart[prev + 1]):
+            k = icopies[tpos]
+            if j < ulen[d] and ubuf[d, j] == k:
+                cmask[k] &= ~bit
+                j += 1
+            else:
+                v = cval[k]
+                cval[k] = v + 1
+                if v < cap:
+                    hist[v] -= 1
+                if v + 1 < cap:
+                    hist[v + 1] += 1
+        col[prev] = -1
 
 
 # ---------------------------------------------------------------------------

@@ -241,17 +241,6 @@ def condition_a(s: TreeMap, i: TreeMap) -> bool:
     return True
 
 
-def is_linear_connection(s_values, i_values) -> bool:
-    """Literal linear-order connection check on raw value sequences."""
-    for x, ix in enumerate(i_values):
-        if ix >= len(s_values) or s_values[ix] != x:
-            return False
-        for y in range(ix):
-            if s_values[y] > x:
-                return False
-    return True
-
-
 def validate_connection(c: Connection) -> None:
     """Raise InvalidMorphismError naming the first failed condition."""
     cat = c.category
@@ -292,19 +281,15 @@ def validate_connection(c: Connection) -> None:
         raise InvalidMorphismError("embedding does not fix the minimum element")
 
 
-def connection_ok(c: Connection) -> bool:
-    try:
-        validate_connection(c)
-    except InvalidMorphismError:
-        return False
-    return True
-
-
 def is_connection(surj: TreeMap, emb: TreeMap, category: str = CONN) -> bool:
     """Check a pair of maps against the conditions of the tagged category."""
     if surj.target != emb.source or surj.source != emb.target:
         raise InvalidMorphismError("maps do not run between the same pair of trees")
-    return connection_ok(Connection(category, surj, emb))
+    try:
+        validate_connection(Connection(category, surj, emb))
+    except InvalidMorphismError:
+        return False
+    return True
 
 
 def is_sealed(s: TreeMap) -> bool:

@@ -191,25 +191,40 @@ def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     return ArrowCertificate("unknown", r, None, None, explored)
 
 
-def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str):
+def _search_arrays(fam: CopyFamily, mode: str):
+    """The kernel arguments both searches share: the copy lists in CSR form
+    and the item order, then col, nxt, maxu and the per-depth undo buffer
+    ubuf/ulen, one row per depth as wide as the most copies through an item."""
     n = fam.n_items
-    copies = sorted(set(fam.copies))
-    cstart, citems, clen, istart, icopies, maxdeg = _csr(copies, n)
-    order = _order(mode, istart, n)
-    col = np.full(n, -1, dtype=np.int64)
-    nxt = np.zeros(n, dtype=np.int64)
-    maxu = np.full(n + 1, -1, dtype=np.int64)
-    ccnt = np.zeros(len(copies), dtype=np.int64)
-    ccol = np.zeros(len(copies), dtype=np.int64)
-    cmix = np.zeros(len(copies), dtype=np.int64)
-    ubuf = np.zeros((max(n, 1), max(maxdeg, 1)), dtype=np.int64)
-    ulen = np.zeros(max(n, 1), dtype=np.int64)
+    cstart, citems, clen, istart, icopies, maxdeg = _csr(sorted(set(fam.copies)), n)
+    rows, width = max(n, 1), max(maxdeg, 1)
+    return (
+        (cstart, citems, clen, istart, icopies, _order(mode, istart, n)),
+        (np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64),
+         np.full(n + 1, -1, dtype=np.int64)),
+        (np.zeros((rows, width), dtype=np.int64), np.zeros(rows, dtype=np.int64)),
+    )
+
+
+def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str):
+    """Run the arrow DFS over fam; returns (status, coloring or None, explored)."""
+    csr, (col, nxt, maxu), undo = _search_arrays(fam, mode)
+    cstart, citems, clen = csr[:3]
+    n, m = fam.n_items, len(clen)
+    # Colors past the n-th are never tried, so min(r, n) columns suffice.
+    r_eff = min(r, n)
+    ccnt, ccol, cmix = (np.zeros(m, dtype=np.int64) for _ in range(3))
+    forbid = np.zeros((n, r_eff), dtype=np.int64)
+    # A one-item copy forbids every color on its item.
+    np.add.at(forbid, citems[cstart[:-1][clen == 1]], 1)
+    nforb = np.count_nonzero(forbid, axis=1).astype(np.int64)
+    fbuf, flen = (np.zeros(a.shape, dtype=np.int64) for a in undo)
     state = np.zeros(2, dtype=np.int64)
 
     def call(limit):
         return kernels.dfs_bad_coloring(
-            cstart, citems, clen, istart, icopies, order, r,
-            col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen, state, limit,
+            *csr, r_eff, col, nxt, maxu, ccnt, ccol, cmix, *undo, state, limit,
+            forbid, nforb, fbuf, flen,
         )
 
     status = _run_chunks(call, state, budget)
@@ -244,6 +259,18 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
         fam = copy_family(S, T, V, category, budget)
     except BudgetExceededError:
         return None, ArrowCertificate("unknown", r, None, None, 0)
+    status, k, witness, explored = _search_degree(fam, r, budget, mode)
+    if status != kernels.EXHAUSTED:
+        return None, ArrowCertificate("unknown", r, None, None, explored)
+    _verify_degree_witness(fam, witness, r, k)
+    if at_most is not None and k > at_most:
+        return k, ArrowCertificate("degree_exceeds_k", r, k, witness, explored)
+    return k, ArrowCertificate("degree_at_most_k", r, k, witness, explored)
+
+
+def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str):
+    """Run the degree branch-and-bound over fam; returns (status, k,
+    witness, explored), k and witness being meaningful once EXHAUSTED."""
     n = fam.n_items
     # A coloring of n items uses at most n colors; the kernel keeps each
     # copy's colors in an int64 bitmask, so at most _MAX_MASK_COLORS fit.
@@ -253,37 +280,24 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
             f"degree search handles at most {_MAX_MASK_COLORS} colors; "
             f"{r_eff} are in play ({n} items, r={r})"
         )
-    copies = sorted(set(fam.copies))
-    cstart, citems, clen, istart, icopies, maxdeg = _csr(copies, n)
-    order = _order(mode, istart, n)
-    col = np.full(n, -1, dtype=np.int64)
-    nxt = np.zeros(n, dtype=np.int64)
-    maxu = np.full(n + 1, -1, dtype=np.int64)
-    ccnt = np.zeros(len(copies), dtype=np.int64)
-    cmask = np.zeros(len(copies), dtype=np.int64)
-    ubuf = np.zeros((max(n, 1), max(maxdeg, 1)), dtype=np.int64)
-    ulen = np.zeros(max(n, 1), dtype=np.int64)
-    best_col = np.full(n, -1, dtype=np.int64)
+    csr, (col, nxt, maxu), undo = _search_arrays(fam, mode)
+    clen = csr[2]
     cap = min(r_eff, int(clen.min()))
-    state = np.zeros(4, dtype=np.int64)
-    state[3] = cap
+    cval = clen.copy()
+    cmask = np.zeros(len(clen), dtype=np.int64)
+    hist = np.zeros(cap, dtype=np.int64)
+    best_col = np.full(n, -1, dtype=np.int64)
+    state = np.zeros(3, dtype=np.int64)
 
     def call(limit):
         return kernels.dfs_degree(
-            cstart, citems, clen, istart, icopies, order, r_eff, len(copies),
-            col, nxt, maxu, ccnt, cmask, ubuf, ulen, state, best_col, limit,
+            *csr, r_eff, cap, col, nxt, maxu, cval, cmask, *undo,
+            state, best_col, limit, hist,
         )
 
     status = _run_chunks(call, state, budget)
-    explored = int(state[1])
-    if status != kernels.EXHAUSTED:
-        return None, ArrowCertificate("unknown", r, None, None, explored)
-    k = int(state[2])
     witness = tuple(int(c) for c in best_col)
-    _verify_degree_witness(fam, witness, r, k)
-    if at_most is not None and k > at_most:
-        return k, ArrowCertificate("degree_exceeds_k", r, k, witness, explored)
-    return k, ArrowCertificate("degree_at_most_k", r, k, witness, explored)
+    return status, int(state[2]), witness, int(state[1])
 
 
 def _verify_degree_witness(fam: CopyFamily, witness: tuple[int, ...], r: int, k: int) -> None:

@@ -6,10 +6,12 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 import treeconn as tc
+from treeconn import kernels
 from treeconn.trees import ROOT
 
 
@@ -70,6 +72,8 @@ def rigid_oracle(T, S):
 
 
 def cond_a_oracle(svals, evals):
+    """Condition (a), the literal linear-order connection check, on raw
+    value sequences."""
     for x, ix in enumerate(evals):
         if ix >= len(svals) or svals[ix] != x:
             return False
@@ -227,3 +231,209 @@ def csr_loop(copies, n_items):
     icopies = [i for m in member for i in m]
     maxdeg = max((len(m) for m in member), default=0)
     return cstart, citems, clen, istart, icopies, maxdeg
+
+
+def dfs_bad_coloring_loop(cstart, citems, clen, istart, icopies, order, r,
+                          col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen,
+                          state, node_budget):
+    """Loop reference for ``kernels.dfs_bad_coloring`` without forward
+    checking: a color is rejected only when it would complete a
+    monochromatic copy, found by scanning the copies of the item it colors.
+
+    Items are colored in the order given by ``order`` with colors tried
+    ascending, restricted to at most one fresh color beyond those already
+    used (any bad coloring has a representative of this form, and with the
+    identity order the first hit is the lexicographically least bad
+    coloring).  A branch dies as soon as some copy becomes fully assigned
+    and monochromatic.
+
+    state = [depth, explored]; all other arrays persist across calls so the
+    search can be paused on the node budget and resumed.
+    """
+    n = order.shape[0]
+    d = state[0]
+    explored = state[1]
+    while True:
+        if d == n:
+            state[0] = d
+            state[1] = explored
+            return kernels.FOUND
+        it = order[d]
+        c = nxt[d]
+        lim = r
+        m2 = maxu[d] + 2
+        if m2 < lim:
+            lim = m2
+        chosen = np.int64(-1)
+        while c < lim:
+            if explored >= node_budget:
+                nxt[d] = c
+                state[0] = d
+                state[1] = explored
+                return kernels.PAUSED
+            explored += 1
+            dead = False
+            for tpos in range(istart[it], istart[it + 1]):
+                k = icopies[tpos]
+                if ccnt[k] + 1 == clen[k] and cmix[k] == 0:
+                    if ccnt[k] == 0 or ccol[k] == c:
+                        dead = True
+                        break
+            if not dead:
+                chosen = c
+                break
+            c += 1
+        if chosen < 0:
+            d -= 1
+            if d < 0:
+                state[0] = d
+                state[1] = explored
+                return kernels.EXHAUSTED
+            prev = order[d]
+            for tpos in range(istart[prev], istart[prev + 1]):
+                ccnt[icopies[tpos]] -= 1
+            for u in range(ulen[d]):
+                cmix[ubuf[d, u]] = 0
+            col[prev] = -1
+            continue
+        ul = 0
+        for tpos in range(istart[it], istart[it + 1]):
+            k = icopies[tpos]
+            if ccnt[k] == 0:
+                ccol[k] = chosen
+            elif cmix[k] == 0 and ccol[k] != chosen:
+                cmix[k] = 1
+                ubuf[d, ul] = k
+                ul += 1
+            ccnt[k] += 1
+        ulen[d] = ul
+        col[it] = chosen
+        nxt[d] = chosen + 1
+        mu = maxu[d]
+        if chosen > mu:
+            mu = chosen
+        maxu[d + 1] = mu
+        d += 1
+        if d < n:
+            nxt[d] = 0
+
+
+def _popcount(x):
+    c = 0
+    while x:
+        x &= x - 1
+        c += 1
+    return c
+
+
+def dfs_degree_loop(cstart, citems, clen, istart, icopies, order, r, ncopies,
+                    col, nxt, maxu, ccnt, cmask, ubuf, ulen,
+                    state, best_col, node_budget):
+    """Loop reference for ``kernels.dfs_degree`` that recomputes the bound
+    over all ``ncopies`` copies at every node, from ccnt (assigned items per
+    copy) and cmask (colors per copy).
+
+    state = [depth, explored, best, cap] where cap = min(r, smallest copy
+    size) is an a-priori upper bound; the search stops early when best
+    reaches it.  best_col holds the witness coloring for the current best.
+    """
+    n = order.shape[0]
+    d = state[0]
+    explored = state[1]
+    best = state[2]
+    cap = state[3]
+    while True:
+        if best >= cap:
+            state[0] = d
+            state[1] = explored
+            state[2] = best
+            return kernels.EXHAUSTED
+        if d == n:
+            val = cap
+            for k in range(ncopies):
+                pc = _popcount(cmask[k])
+                if pc < val:
+                    val = pc
+            if val > best:
+                best = val
+                for i in range(n):
+                    best_col[i] = col[i]
+            d -= 1
+            if d < 0:
+                state[0] = d
+                state[1] = explored
+                state[2] = best
+                return kernels.EXHAUSTED
+            prev = order[d]
+            for tpos in range(istart[prev], istart[prev + 1]):
+                ccnt[icopies[tpos]] -= 1
+            for u in range(ulen[d]):
+                cmask[ubuf[d, u]] &= ~(np.int64(1) << col[prev])
+            col[prev] = -1
+            continue
+        it = order[d]
+        c = nxt[d]
+        lim = r
+        m2 = maxu[d] + 2
+        if m2 < lim:
+            lim = m2
+        chosen = np.int64(-1)
+        while c < lim:
+            if explored >= node_budget:
+                nxt[d] = c
+                state[0] = d
+                state[1] = explored
+                state[2] = best
+                return kernels.PAUSED
+            explored += 1
+            # Tentatively apply, bound, and keep or roll back.
+            ul = 0
+            for tpos in range(istart[it], istart[it + 1]):
+                k = icopies[tpos]
+                bit = np.int64(1) << c
+                if cmask[k] & bit == 0:
+                    cmask[k] |= bit
+                    ubuf[d, ul] = k
+                    ul += 1
+                ccnt[k] += 1
+            ub = cap
+            for k in range(ncopies):
+                pc = _popcount(cmask[k])
+                rem = clen[k] - ccnt[k]
+                room = r - pc
+                if rem < room:
+                    room = rem
+                if pc + room < ub:
+                    ub = pc + room
+            if ub > best:
+                chosen = c
+                ulen[d] = ul
+                break
+            for u in range(ul):
+                cmask[ubuf[d, u]] &= ~(np.int64(1) << c)
+            for tpos in range(istart[it], istart[it + 1]):
+                ccnt[icopies[tpos]] -= 1
+            c += 1
+        if chosen < 0:
+            d -= 1
+            if d < 0:
+                state[0] = d
+                state[1] = explored
+                state[2] = best
+                return kernels.EXHAUSTED
+            prev = order[d]
+            for tpos in range(istart[prev], istart[prev + 1]):
+                ccnt[icopies[tpos]] -= 1
+            for u in range(ulen[d]):
+                cmask[ubuf[d, u]] &= ~(np.int64(1) << col[prev])
+            col[prev] = -1
+            continue
+        col[it] = chosen
+        nxt[d] = chosen + 1
+        mu = maxu[d]
+        if chosen > mu:
+            mu = chosen
+        maxu[d + 1] = mu
+        d += 1
+        if d < n:
+            nxt[d] = 0

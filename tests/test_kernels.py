@@ -1,5 +1,6 @@
 """The compiled kernels must agree exactly with their interpreted fallbacks,
-and the numpy kernels with the loop references in conftest."""
+and the numpy kernels and the pruned searches with the loop references in
+conftest."""
 
 import importlib.util
 import itertools
@@ -12,9 +13,10 @@ import numpy as np
 import pytest
 
 import treeconn as tc
-from treeconn import kernels
+from treeconn import kernels, search
 from treeconn.homsets import _emb_rows
-from conftest import doubling_pair_sweep_loop, pair_caps_loop, small_trees
+from conftest import (dfs_bad_coloring_loop, dfs_degree_loop, doubling_pair_sweep_loop,
+                      pair_caps_loop, small_trees)
 
 
 def both(kernel, *args):
@@ -63,35 +65,88 @@ def test_pair_kernels_backends_agree():
     assert np.array_equal(m1, m2)
 
 
-def _search_args(fam_copies, n, r):
-    from treeconn.search import _csr, _order
+C2, C3 = tc.chain(2), tc.chain(3)
+D1 = tc.doubling_tree(C2).tree
+D2 = tc.doubling_tree(D1).tree
 
-    cstart, citems, clen, istart, icopies, maxdeg = _csr(sorted(set(fam_copies)), n)
-    order = _order("canonical", istart, n)
-    return cstart, citems, clen, istart, icopies, maxdeg, order
+
+def _bad_coloring_reference(fam, r, mode):
+    csr, (col, nxt, maxu), undo = search._search_arrays(fam, mode)
+    ncopies = len(csr[2])
+    per_copy = [np.zeros(ncopies, dtype=np.int64) for _ in range(3)]  # ccnt, ccol, cmix
+    state = np.zeros(2, dtype=np.int64)
+    status = dfs_bad_coloring_loop(*csr, r, col, nxt, maxu, *per_copy, *undo, state, 10**9)
+    coloring = tuple(int(c) for c in col) if status == kernels.FOUND else None
+    return status, coloring, int(state[1])
+
+
+def _degree_reference(fam, r, mode):
+    csr, (col, nxt, maxu), undo = search._search_arrays(fam, mode)
+    clen = csr[2]
+    r_eff = min(r, fam.n_items)
+    ccnt, cmask = np.zeros(len(clen), dtype=np.int64), np.zeros(len(clen), dtype=np.int64)
+    best_col = np.full(fam.n_items, -1, dtype=np.int64)
+    state = np.array([0, 0, 0, min(r_eff, int(clen.min()))], dtype=np.int64)
+    status = dfs_degree_loop(*csr, r_eff, len(clen), col, nxt, maxu, ccnt, cmask, *undo,
+                             state, best_col, 10**9)
+    return status, int(state[2]), tuple(int(c) for c in best_col), int(state[1])
 
 
 def test_dfs_bad_backends_agree():
-    fam = tc.copy_family(tc.chain(2), tc.chain(3), tc.chain(5), tc.INC_INJ)
-    n = len(fam.hom_sv)
-    cstart, citems, clen, istart, icopies, maxdeg, order = _search_args(fam.copies, n, 2)
+    fam = tc.copy_family(C2, C3, tc.chain(5), tc.INC_INJ)
     results = []
     for impl in (kernels.dfs_bad_coloring, kernels.py_func(kernels.dfs_bad_coloring)):
-        col = np.full(n, -1, dtype=np.int64)
-        nxt = np.zeros(n, dtype=np.int64)
-        maxu = np.full(n + 1, -1, dtype=np.int64)
-        ncopies = len(set(fam.copies))
-        ccnt = np.zeros(ncopies, dtype=np.int64)
-        ccol = np.zeros(ncopies, dtype=np.int64)
-        cmix = np.zeros(ncopies, dtype=np.int64)
-        ubuf = np.zeros((n, maxdeg), dtype=np.int64)
-        ulen = np.zeros(n, dtype=np.int64)
+        csr, (col, nxt, maxu), (ubuf, ulen) = search._search_arrays(fam, "canonical")
+        n, ncopies = fam.n_items, len(csr[2])
+        ccnt, ccol, cmix = (np.zeros(ncopies, dtype=np.int64) for _ in range(3))
+        forbid = np.zeros((n, 2), dtype=np.int64)  # no one-item copies: nothing forbidden yet
+        nforb = np.zeros(n, dtype=np.int64)
+        fbuf, flen = np.zeros_like(ubuf), np.zeros_like(ulen)
         state = np.zeros(2, dtype=np.int64)
-        status = impl(cstart, citems, clen, istart, icopies, order, 2,
-                      col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen, state, 10**6)
-        results.append((status, tuple(col), int(state[1])))
+        status = impl(*csr, 2, col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen, state, 10**6,
+                      forbid, nforb, fbuf, flen)
+        results.append((status, tuple(int(c) for c in col), int(state[1])))
     assert results[0] == results[1]
     assert results[0][0] == kernels.FOUND
+    assert results[0][:2] == _bad_coloring_reference(fam, 2, "canonical")[:2]
+
+
+# chain9 at r = 3 is left out: the reference needs 5.5M nodes (about a minute).
+ARROW_CASES = (
+    [(C2, C3, tc.chain(n), r, tc.INC_INJ) for r in (2, 3) for n in range(3, 10) if (n, r) != (9, 3)]
+    + [(C2, D1, D2, 2, cat) for cat in (tc.CONN, tc.PSC, tc.RIGID, tc.CONN_ROOT)]
+)
+
+
+@pytest.mark.parametrize("mode", ["canonical", "fast"])
+def test_dfs_bad_coloring_matches_loop_reference(mode):
+    # Forward checking only cuts subtrees without a bad coloring, so the
+    # verdict and the first coloring found are those of the plain search.
+    pruned = 0
+    for S, T, V, r, cat in ARROW_CASES:
+        fam = tc.copy_family(S, T, V, cat)
+        status, coloring, explored = search._search_bad_coloring(fam, r, tc.DEFAULT_BUDGET, mode)
+        want_status, want_coloring, want_explored = _bad_coloring_reference(fam, r, mode)
+        assert (status, coloring) == (want_status, want_coloring), (V, r, cat)
+        assert explored <= want_explored, (V, r, cat)
+        pruned += explored < want_explored
+    assert pruned > 0
+
+
+DEGREE_CASES = (
+    [(C2, C3, tc.chain(n), r, tc.INC_INJ) for r in (2, 3) for n in range(3, 8)]
+    + [(S, tc.doubling_tree(S).tree, tc.doubling_tree(S).tree, 2 ** len(tc.doubling_tree(S).marked), tc.CONN)
+       for S in (tc.chain(1), C2, tc.parse_tree("(()())"))]
+)
+
+
+@pytest.mark.parametrize("mode", ["canonical", "fast"])
+def test_dfs_degree_matches_loop_reference(mode):
+    # The incremental bound equals the rescanned one, so the search is the same.
+    for S, T, V, r, cat in DEGREE_CASES:
+        fam = tc.copy_family(S, T, V, cat)
+        got = search._search_degree(fam, r, tc.DEFAULT_BUDGET, mode)
+        assert got == _degree_reference(fam, r, mode), (V, r, cat)
 
 
 def test_doubling_sweep_matches_loop_reference(monkeypatch):
@@ -137,24 +192,19 @@ def test_connection_rows_do_not_depend_on_block_size(monkeypatch):
 
 
 def test_resumable_search_pauses_and_resumes():
-    fam = tc.copy_family(tc.chain(2), tc.chain(3), tc.chain(6), tc.INC_INJ)
-    n = len(fam.hom_sv)
-    cstart, citems, clen, istart, icopies, maxdeg, order = _search_args(fam.copies, n, 2)
-    col = np.full(n, -1, dtype=np.int64)
-    nxt = np.zeros(n, dtype=np.int64)
-    maxu = np.full(n + 1, -1, dtype=np.int64)
-    ncopies = len(set(fam.copies))
-    ccnt = np.zeros(ncopies, dtype=np.int64)
-    ccol = np.zeros(ncopies, dtype=np.int64)
-    cmix = np.zeros(ncopies, dtype=np.int64)
-    ubuf = np.zeros((n, maxdeg), dtype=np.int64)
-    ulen = np.zeros(n, dtype=np.int64)
+    fam = tc.copy_family(C2, C3, tc.chain(6), tc.INC_INJ)
+    csr, (col, nxt, maxu), (ubuf, ulen) = search._search_arrays(fam, "canonical")
+    n, ncopies = fam.n_items, len(csr[2])
+    ccnt, ccol, cmix = (np.zeros(ncopies, dtype=np.int64) for _ in range(3))
+    forbid = np.zeros((n, 2), dtype=np.int64)  # no one-item copies: nothing forbidden yet
+    nforb = np.zeros(n, dtype=np.int64)
+    fbuf, flen = np.zeros_like(ubuf), np.zeros_like(ulen)
     state = np.zeros(2, dtype=np.int64)
     pauses = 0
     while True:
         status = kernels.dfs_bad_coloring(
-            cstart, citems, clen, istart, icopies, order, 2,
-            col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen, state, int(state[1]) + 50,
+            *csr, 2, col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen, state, int(state[1]) + 50,
+            forbid, nforb, fbuf, flen,
         )
         if status != kernels.PAUSED:
             break
@@ -162,9 +212,25 @@ def test_resumable_search_pauses_and_resumes():
     assert status == kernels.EXHAUSTED
     assert pauses > 0
     # One-shot run must agree with the chunked run.
-    one = tc.arrow_check(tc.chain(2), tc.chain(3), tc.chain(6), 2, tc.INC_INJ)
+    one = tc.arrow_check(C2, C3, tc.chain(6), 2, tc.INC_INJ)
     assert one.verdict == "arrows"
     assert one.explored == int(state[1])
+    # Every counter is back to its start once the search is exhausted.
+    assert not ccnt.any() and not cmix.any() and not forbid.any() and not nforb.any()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 50])
+def test_searches_resume_to_the_one_shot_result(monkeypatch, chunk):
+    arrows = [(tc.chain(n), r, mode) for n, r in ((5, 2), (6, 2), (5, 3))
+              for mode in ("canonical", "fast")]
+    degrees = [(tc.chain(n), r, "canonical") for n, r in ((5, 3), (6, 2))]
+    want = [tc.arrow_check(C2, C3, V, r, tc.INC_INJ, mode=mode) for V, r, mode in arrows]
+    want += [tc.degree_at_witness(C2, C3, V, r, tc.INC_INJ, mode=mode) for V, r, mode in degrees]
+    monkeypatch.setattr(search, "_CHUNK", chunk)
+    got = [tc.arrow_check(C2, C3, V, r, tc.INC_INJ, mode=mode) for V, r, mode in arrows]
+    got += [tc.degree_at_witness(C2, C3, V, r, tc.INC_INJ, mode=mode) for V, r, mode in degrees]
+    assert got == want
+    assert {cert.verdict for cert in got[:len(arrows)]} == {"arrows", "fails"}
 
 
 @pytest.mark.skipif(importlib.util.find_spec("numba") is not None,

@@ -1,8 +1,10 @@
 import json
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treeconn as tc
 from treeconn import kernels, search
@@ -116,6 +118,57 @@ def test_arrow_matches_naive_oracle_small():
             assert cert.coloring == expected  # lexicographically least
 
 
+def test_arrow_with_one_and_two_item_copies():
+    # Hom(C2, C2) is the identity, so every copy is one item: each is
+    # monochromatic under any coloring and the search ends before a node.
+    fam = tc.copy_family(C2, C2, C3, tc.INC_INJ)
+    assert {len(cp) for cp in fam.copies} == {1}
+    for mode in ("canonical", "fast"):
+        cert = tc.arrow_check(C2, C2, C3, 2, tc.INC_INJ, mode=mode)
+        assert (cert.verdict, cert.explored) == ("arrows", 0)
+        k, cert = tc.degree_at_witness(C2, C2, C3, 2, tc.INC_INJ, mode=mode)
+        assert k == 1
+    # Hom(C1, C2) has two maps, so the copies are the pairs of points of
+    # chainN: a bad r-coloring colors the N points apart, so it exists iff N <= r.
+    for n, r in ((2, 2), (3, 2), (3, 3), (4, 3)):
+        fam = tc.copy_family(C1, C2, tc.chain(n), tc.INC_INJ)
+        assert {len(cp) for cp in fam.copies} == {2}
+        cert = tc.arrow_check(C1, C2, tc.chain(n), r, tc.INC_INJ)
+        expected = naive_bad_coloring(fam.copies, fam.n_items, r)
+        assert cert.verdict == ("arrows" if n > r else "fails")
+        assert cert.coloring == expected
+
+
+@st.composite
+def copy_families(draw):
+    n = draw(st.integers(min_value=1, max_value=8))
+    item = st.integers(min_value=0, max_value=n - 1)
+    copy = st.sets(item, min_size=1, max_size=min(4, n)).map(lambda cp: tuple(sorted(cp)))
+    copies = draw(st.lists(copy, min_size=1, max_size=6))
+    return SimpleNamespace(n_items=n, copies=tuple(copies)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(copy_families())
+def test_searches_match_naive_oracles_on_random_families(family):
+    fam, r = family
+    bad = naive_bad_coloring(fam.copies, fam.n_items, r)
+    degree = naive_degree(fam.copies, fam.n_items, r)
+    for mode in ("canonical", "fast"):
+        status, coloring, _ = search._search_bad_coloring(fam, r, tc.DEFAULT_BUDGET, mode)
+        if bad is None:
+            assert status == kernels.EXHAUSTED
+        else:
+            assert status == kernels.FOUND
+            search._verify_bad_coloring(fam, coloring, r)
+            if mode == "canonical":
+                assert coloring == bad
+        status, k, witness, _ = search._search_degree(fam, r, tc.DEFAULT_BUDGET, mode)
+        assert status == kernels.EXHAUSTED
+        assert k == degree
+        search._verify_degree_witness(fam, witness, r, k)
+
+
 def test_arrow_fast_mode_still_verifies():
     cert = tc.arrow_check(C2, C3, tc.chain(5), 2, tc.INC_INJ, mode="fast")
     assert cert.verdict == "fails"
@@ -140,11 +193,20 @@ def test_arrow_budget_unknown():
     assert cert.verdict == "unknown"
     k, cert = tc.degree_at_witness(C2, C3, tc.chain(6), 2, tc.INC_INJ, budget=tiny_hom)
     assert k is None and cert.verdict == "unknown"
-    # The time cap stops the search close to the cap (about 17 s uncapped).
+    # The time cap stops the search close to the cap (uncapped, this search
+    # uses up the default 20M-node budget without finishing).
     t0 = time.perf_counter()
-    cert = tc.arrow_check(C2, C3, tc.chain(12), 2, tc.INC_INJ, tc.Budget(time_cap=1.0))
+    cert = tc.arrow_check(C2, C3, tc.chain(12), 3, tc.INC_INJ, tc.Budget(time_cap=1.0))
     assert cert.verdict == "unknown"
     assert time.perf_counter() - t0 < 3.0
+
+
+def test_arrow_chain12_two_colors_exhausts():
+    # R(3, 3) = 6: K_12 arrows the triangle at r = 2.  Forward checking
+    # exhausts the search in 22,447 nodes (1,454,487 without it).
+    cert = tc.arrow_check(C2, C3, tc.chain(12), 2, tc.INC_INJ)
+    assert cert.verdict == "arrows"
+    assert cert.explored == 22_447
 
 
 def test_degree_r1_is_one():
