@@ -7,7 +7,9 @@ or surjection | embedding (the pair categories).  A psc surjection is padded
 with -1 past its top, which is the embedding's last value (the pair is
 strong).  Rows are in lexicographic order, the canonical order, so a shorter
 psc prefix sorts first; re-running yields identical arrays.
-``composite_indices`` composes whole Hom-sets on these arrays.
+``composite_indices`` composes whole Hom-sets on these arrays, and
+``conn_disagreements`` checks CONN rows and gives their disagreement sets
+without building a ``Connection``.
 
 Surjection-bearing Hom-sets are generated from embeddings: every rigid
 surjection is the unique extension of its induced embedding (its skeleton)
@@ -257,14 +259,85 @@ def composite_rows(hom_st: HomSet, g_rows: np.ndarray) -> np.ndarray:
     return np.concatenate((h_s, h_e), axis=2)
 
 
+def composite_blocks(hom_st: HomSet, g_rows: np.ndarray,
+                     width: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(start, composite_rows(hom_st, block)) over blocks of ``g_rows`` of
+    about ``kernels._BLOCK_CELLS`` composite cells, ``width`` per row."""
+    step = max(1, kernels._BLOCK_CELLS // max(len(hom_st) * width, 1))
+    for lo in range(0, len(g_rows), step):
+        yield lo, composite_rows(hom_st, g_rows[lo: lo + step])
+
+
+# validate_connection's messages for a failed CONN row, in its check order.
+CONN_FAILURES = (
+    "pair fails the partial-inverse compatibility",
+    "surjection half is not a rigid surjection",
+    "embedding half is not a tree embedding",
+)
+
+
+def _embedding_mask(S: OrderedTree, V: OrderedTree, e: np.ndarray) -> np.ndarray:
+    """Per row of e (maps S -> V): root-preserving, strictly increasing and
+    meet-preserving, as ``morphisms.is_embedding``."""
+    xs, ys = np.triu_indices(S.n, 1)
+    return ((e[:, 0] == 0) & (np.diff(e, axis=1) > 0).all(axis=1)
+            & (V.meet_table[e[:, xs], e[:, ys]] == e[:, S.meet_table[xs, ys]]).all(axis=1))
+
+
+def conn_row_failures(S: OrderedTree, V: OrderedTree,
+                      rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Check CONN rows s | i of Hom(S, V) as ``validate_connection`` does.
+
+    Returns (failed, diff): failed[k] indexes CONN_FAILURES by the first
+    condition row k fails, or is -1; diff[k, x] is True where i(x) differs
+    from the induced embedding of s (x to the meet of its preimages).  diff
+    is meaningful on rows that pass.
+    """
+    sn, vn = S.n, V.n
+    surj, emb = rows[:, :vn], rows[:, vn:]
+    if ((surj < 0) | (surj >= sn)).any() or ((emb < 0) | (emb >= vn)).any():
+        raise InvalidMorphismError("row value outside its target tree")
+    xs = np.arange(sn)
+    # Condition (a): s(i(x)) = x, and no vertex below i(x) maps above x.
+    cond_a = ((np.take_along_axis(surj, emb, 1) == xs)
+              & (np.take_along_axis(np.maximum.accumulate(surj, axis=1), emb, 1) <= xs)
+              ).all(axis=1)
+    # Condition (a) makes s surjective.  In preorder the subtree of a meet is
+    # an interval, so the meet of x's preimages is that of the least and the
+    # greatest one.
+    hit = surj[:, :, None] == xs
+    first = hit.argmax(axis=1)
+    last = vn - 1 - hit[:, ::-1].argmax(axis=1)
+    ind = V.meet_table[first, last]
+    # The induced embedding must be an embedding adjoint to s.  Of the two
+    # laws only s(ind(x)) = x can fail: ind(s(y)) is a meet of preimages
+    # that include y, so it lies below y.
+    adjoint = (np.take_along_axis(surj, ind, 1) == xs).all(axis=1)
+    failed = np.full(len(rows), -1, dtype=np.int64)
+    failed[~_embedding_mask(S, V, emb)] = 2
+    failed[~(_embedding_mask(S, V, ind) & adjoint)] = 1
+    failed[~cond_a] = 0
+    return failed, emb != ind
+
+
+def conn_disagreements(S: OrderedTree, V: OrderedTree, rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), S.n) boolean disagreement array of CONN rows of
+    Hom(S, V) (see ``conn_row_failures``).  A row that is not a connection
+    raises InvalidMorphismError with validate_connection's message."""
+    failed, diff = conn_row_failures(S, V, rows)
+    bad = np.flatnonzero(failed >= 0)
+    if len(bad):
+        raise InvalidMorphismError(CONN_FAILURES[failed[bad[0]]])
+    return diff
+
+
 def composite_indices(hom_st: HomSet, hom_tv: HomSet, hom_sv: HomSet) -> Iterator[np.ndarray]:
     """Indices in ``hom_sv`` of every f o g, as (block, len(hom_st)) arrays
     over blocks of g of about ``kernels._BLOCK_CELLS`` composite cells.
     A composite missing from ``hom_sv`` raises InvalidMorphismError."""
     keys = _row_keys(hom_sv.rows)
-    step = max(1, kernels._BLOCK_CELLS // max(len(hom_st) * hom_sv.rows.shape[1], 1))
-    for lo in range(0, len(hom_tv), step):
-        want = _row_keys(composite_rows(hom_st, hom_tv.rows[lo: lo + step]))
+    for _, block in composite_blocks(hom_st, hom_tv.rows, hom_sv.rows.shape[1]):
+        want = _row_keys(block)
         idx = np.searchsorted(keys, want)
         if len(keys) == 0 or (keys[np.minimum(idx, len(keys) - 1)] != want).any():
             raise InvalidMorphismError("composite missing from enumerated Hom(S, V)")

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,15 +14,15 @@ import numpy as np
 from . import kernels
 from .config import DEFAULT_BUDGET, Budget
 from .constructions import DoublingResult, doubling_tree
-from .colorings import powerset_coloring, two_coloring
 from .errors import (
     BudgetExceededError,
     DegenerateInputError,
     InvalidMorphismError,
 )
-from .homsets import (HomSet, _emb_rows, composite_indices, count_rigid_surjections,
-                      enumerate_connections, enumerate_hom)
-from .morphisms import CONN, Connection, TreeMap, compose, induced_embedding, validate_connection
+from .homsets import (HomSet, _emb_rows, composite_blocks, composite_indices,
+                      conn_disagreements, count_rigid_surjections, enumerate_connections,
+                      enumerate_hom)
+from .morphisms import CONN, Connection, TreeMap, induced_embedding, validate_connection
 from .trees import OrderedTree
 
 VERDICTS = ("arrows", "fails", "degree_at_most_k", "degree_exceeds_k", "unknown")
@@ -329,7 +330,7 @@ class VerificationReport:
         return out
 
 
-_DIRECT_CAP = 3000  # largest surjection count handled by literal composition
+_DIRECT_CAP = 3000  # largest surjection count handled by direct composition
 
 
 def verify_lower_bound(S: OrderedTree, witness: OrderedTree | None = None,
@@ -340,7 +341,9 @@ def verify_lower_bound(S: OrderedTree, witness: OrderedTree | None = None,
 
     With T the doubling of S, every (t, j) in Hom(T, V) and every subset B
     of the marked set must satisfy powerset_coloring((t, j) o (s, i_B)) = B.
-    The direct method composes literally; the factored method sweeps the
+    The direct method composes the witnesses with Hom(T, V) by rows and
+    checks and colors every composite in one array pass
+    (``homsets.conn_disagreements``); the factored method sweeps the
     skeleton/embedding pairs that classify Hom(T, V), which checks the same
     universally quantified statement because the coloring of a composite
     depends on the outer surjection only through its induced embedding.
@@ -359,25 +362,52 @@ def verify_lower_bound(S: OrderedTree, witness: OrderedTree | None = None,
     raise ValueError(f"unknown method {method!r}")
 
 
+def _composite_disagreements(hom_st: HomSet, hom_tv: HomSet) -> Iterator[tuple[int, np.ndarray]]:
+    """For blocks of g in CONN ``hom_tv``: (start, array (block, len(hom_st),
+    S.n)) of the disagreement sets of every f o g, each composite checked
+    as a connection."""
+    S, V = hom_st.source, hom_tv.target
+    for lo, block in composite_blocks(hom_st, hom_tv.rows, V.n + S.n):
+        try:
+            diff = conn_disagreements(S, V, block.reshape(-1, block.shape[2]))
+        except InvalidMorphismError as exc:
+            raise InvalidMorphismError(f"composite failed re-validation: {exc}") from exc
+        yield lo, diff.reshape(block.shape[0], block.shape[1], S.n)
+
+
+def _outer(hom_tv: HomSet, g: int) -> str:
+    row = hom_tv.rows[g].tolist()
+    vn = hom_tv.target.n
+    return f"outer surj {tuple(row[:vn])} emb {tuple(row[vn:])}"
+
+
 def _verify_lower_bound_direct(dbl: DoublingResult, V: OrderedTree,
                                budget: Budget) -> VerificationReport:
-    hom_tv = enumerate_connections(dbl.tree, V, CONN, budget)
-    witnesses = [(B, dbl.connection_for(B)) for B in dbl.subsets()]
+    S, T = dbl.base, dbl.tree
+    hom_tv = enumerate_connections(T, V, CONN, budget)
+    subsets = list(dbl.subsets())
+    witnesses = HomSet(CONN, S, T, np.array(
+        [dbl.surj.values + dbl.embedding_for(B).values for B in subsets], dtype=np.int64))
+    want = np.array([[x in B for x in range(S.n)] for B in subsets], dtype=bool)
+    unmarked = np.ones(S.n, dtype=bool)
+    unmarked[list(dbl.marked)] = False
     bad: list[str] = []
-    checked = 0
-    for g in hom_tv:
-        for B, w in witnesses:
-            checked += 1
-            got = powerset_coloring(compose(w, g))
-            if got != B:
-                if len(bad) < 16:
-                    bad.append(
-                        f"outer surj {g.surj.values} emb {g.emb.values}: "
-                        f"subset {sorted(B)} colored {sorted(got)}"
-                    )
+    for lo, got in _composite_disagreements(witnesses, hom_tv):
+        outside = got & unmarked
+        if outside.any():
+            g, b = np.argwhere(outside.any(axis=2))[0]
+            raise InvalidMorphismError(
+                f"disagreement at unmarked vertices {np.flatnonzero(outside[g, b]).tolist()}; "
+                "connection invalid"
+            )
+        for g, b in np.argwhere((got != want).any(axis=2))[: 16 - len(bad)].tolist():
+            bad.append(
+                f"{_outer(hom_tv, lo + g)}: subset {sorted(subsets[b])} "
+                f"colored {np.flatnonzero(got[g, b]).tolist()}"
+            )
     ok = not bad and len(hom_tv) > 0
     return VerificationReport(
-        "doubling-coloring-stability", ok, checked, "direct", tuple(bad)
+        "doubling-coloring-stability", ok, len(hom_tv) * len(subsets), "direct", tuple(bad)
     )
 
 
@@ -422,6 +452,10 @@ def verify_no_ramsey(S: OrderedTree, T: OrderedTree, x: int, s: TreeMap,
     """Certify that the two-coloring separates (s, induced) from (s, i) under
     every outer morphism, so no witness tree can close the gap.
 
+    Both pairs are composed with Hom(T, witness) by rows, and every
+    composite is checked and colored in one array pass, as in the direct
+    method of ``verify_lower_bound``.
+
     Preconditions (each failure is reported by name): (s, i) is a valid
     connection, i differs from the induced embedding at x, and the induced
     image of x has at least two immediate successors.
@@ -444,18 +478,15 @@ def verify_no_ramsey(S: OrderedTree, T: OrderedTree, x: int, s: TreeMap,
             f"hypothesis failed: induced image of {x} has fewer than two immediate successors"
         )
     straight = Connection(CONN, s, TreeMap(S, T, ind.values))
+    pairs = HomSet(CONN, S, T, np.array(
+        [c.surj.values + c.emb.values for c in (straight, base)], dtype=np.int64))
     hom_tv = enumerate_connections(T, witness, CONN, budget)
     bad: list[str] = []
-    checked = 0
-    for g in hom_tv:
-        checked += 1
-        c0 = two_coloring(x, compose(straight, g))
-        c1 = two_coloring(x, compose(base, g))
-        if (c0, c1) != (0, 1):
-            if len(bad) < 16:
-                bad.append(
-                    f"outer surj {g.surj.values} emb {g.emb.values}: colors ({c0}, {c1})"
-                )
+    for lo, diff in _composite_disagreements(pairs, hom_tv):
+        colors = diff[:, :, x].astype(np.int64)
+        for g in np.flatnonzero((colors != (0, 1)).any(axis=1))[: 16 - len(bad)].tolist():
+            c0, c1 = colors[g].tolist()
+            bad.append(f"{_outer(hom_tv, lo + g)}: colors ({c0}, {c1})")
     return VerificationReport(
-        "two-coloring-separation", not bad, checked, "direct", tuple(bad)
+        "two-coloring-separation", not bad, len(hom_tv), "direct", tuple(bad)
     )

@@ -437,3 +437,50 @@ def dfs_degree_loop(cstart, citems, clen, istart, icopies, order, r, ncopies,
         d += 1
         if d < n:
             nxt[d] = 0
+
+
+def verify_lower_bound_direct_loop(dbl, V, budget=tc.DEFAULT_BUDGET):
+    """Loop reference for ``search._verify_lower_bound_direct``: one
+    ``tc.compose`` and one ``tc.powerset_coloring`` per (outer morphism,
+    subset) pair."""
+    hom_tv = tc.enumerate_connections(dbl.tree, V, tc.CONN, budget)
+    witnesses = [(B, dbl.connection_for(B)) for B in dbl.subsets()]
+    bad = []
+    checked = 0
+    for g in hom_tv:
+        for B, w in witnesses:
+            checked += 1
+            got = tc.powerset_coloring(tc.compose(w, g))
+            if got != B:
+                if len(bad) < 16:
+                    bad.append(
+                        f"outer surj {g.surj.values} emb {g.emb.values}: "
+                        f"subset {sorted(B)} colored {sorted(got)}"
+                    )
+    ok = not bad and len(hom_tv) > 0
+    return tc.VerificationReport(
+        "doubling-coloring-stability", ok, checked, "direct", tuple(bad)
+    )
+
+
+def verify_no_ramsey_loop(S, T, x, s, i, witness, budget=tc.DEFAULT_BUDGET):
+    """Loop reference for the outer-composition check of
+    ``tc.verify_no_ramsey`` (its preconditions are left to the caller): one
+    ``tc.compose`` and one ``tc.two_coloring`` per outer morphism and pair."""
+    base = tc.Connection(tc.CONN, s, i)
+    straight = tc.Connection(tc.CONN, s, tc.TreeMap(S, T, tc.induced_embedding(s).values))
+    hom_tv = tc.enumerate_connections(T, witness, tc.CONN, budget)
+    bad = []
+    checked = 0
+    for g in hom_tv:
+        checked += 1
+        c0 = tc.two_coloring(x, tc.compose(straight, g))
+        c1 = tc.two_coloring(x, tc.compose(base, g))
+        if (c0, c1) != (0, 1):
+            if len(bad) < 16:
+                bad.append(
+                    f"outer surj {g.surj.values} emb {g.emb.values}: colors ({c0}, {c1})"
+                )
+    return tc.VerificationReport(
+        "two-coloring-separation", not bad, checked, "direct", tuple(bad)
+    )

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import treeconn as tc
 from treeconn.cli import export_dot, main
@@ -165,10 +167,14 @@ def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # The child imports the treeconn under test, installed or not.
+    src = str(Path(tc.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "treeconn", "enum", "conn", "chain2", "chain3", "--count"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4"

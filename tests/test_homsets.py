@@ -1,11 +1,12 @@
+import itertools
 import time
 
 import numpy as np
 import pytest
 
 import treeconn as tc
-from treeconn.errors import BudgetExceededError
-from treeconn.homsets import _row_keys
+from treeconn.errors import BudgetExceededError, InvalidMorphismError
+from treeconn.homsets import CONN_FAILURES, _row_keys, conn_disagreements, conn_row_failures
 from conftest import (
     conn_oracle,
     emb_oracle,
@@ -170,3 +171,67 @@ def test_count_rigid_surjections_formula():
             exact = len(tc.enumerate_rigid_surjections(T, S))
             assert tc.count_rigid_surjections(T, S) == exact
     assert tc.count_rigid_surjections(tc.chain(8), C2, cap=10) == 11  # clamped
+
+
+def _raw_rows(S, V):
+    """Every surjection-half x embedding-half row of values, valid or not."""
+    surj = np.array(list(itertools.product(range(S.n), repeat=V.n))).reshape(-1, V.n)
+    emb = np.array(list(itertools.product(range(V.n), repeat=S.n))).reshape(-1, S.n)
+    return np.concatenate((np.repeat(surj, len(emb), axis=0), np.tile(emb, (len(surj), 1))), axis=1)
+
+
+def _validate_row(S, V, row):
+    """(validate_connection's message or None, disagreements with the
+    induced embedding or None) for one CONN row."""
+    s, i = tc.TreeMap(V, S, row[:V.n]), tc.TreeMap(S, V, row[V.n:])
+    try:
+        tc.validate_connection(tc.Connection(tc.CONN, s, i))
+    except InvalidMorphismError as exc:
+        return str(exc), None
+    ind = tc.induced_embedding(s).values
+    return None, [i.values[x] != ind[x] for x in range(S.n)]
+
+
+def _assert_rows_match_validation(S, V, rows):
+    failed, diff = conn_row_failures(S, V, rows)
+    seen = set()
+    for row, f, d in zip(rows.tolist(), failed.tolist(), diff.tolist()):
+        msg, want = _validate_row(S, V, row)
+        assert (CONN_FAILURES[f] if f >= 0 else None) == msg, (S, V, row)
+        if want is not None:
+            assert d == want, (S, V, row)
+        seen.add(f)
+    return seen
+
+
+def test_conn_row_check_matches_validate_connection_on_raw_rows():
+    # Every raw row, |S| <= 3 with |V| <= 4 and |S| <= 2 with |V| = 5.
+    pairs = [(S, V) for S in tc.all_trees_up_to(3) for V in tc.all_trees_up_to(4)]
+    pairs += [(S, V) for S in tc.all_trees_up_to(2) for V in tc.all_trees_up_to(5) if V.n == 5]
+    seen = set()
+    for S, V in pairs:
+        seen |= _assert_rows_match_validation(S, V, _raw_rows(S, V))
+    # Every outcome occurs: valid, and each of the three failures.
+    assert seen == {-1, 0, 1, 2}
+
+
+def test_conn_disagreements_on_enumerated_connections(trees_up_to_5):
+    for S in trees_up_to_5:
+        for V in trees_up_to_5:
+            hom = tc.enumerate_connections(S, V)
+            if len(hom):
+                assert _assert_rows_match_validation(S, V, hom.rows) == {-1}
+                assert np.array_equal(conn_disagreements(S, V, hom.rows),
+                                      conn_row_failures(S, V, hom.rows)[1])
+
+
+def test_conn_disagreements_raises_on_the_first_invalid_row():
+    S, V = C2, tc.doubling_tree(C2).tree
+    rows = tc.enumerate_connections(S, V).rows
+    for bad, message in (((0, 0, 0, 0, 0, 1), CONN_FAILURES[0]),  # s(i(1)) = 0
+                         ((0, 0, 0, 1, 1, 3), CONN_FAILURES[2])):  # i(0) is not the root
+        mixed = np.concatenate((rows, [bad], rows))
+        with pytest.raises(InvalidMorphismError, match=message):
+            conn_disagreements(S, V, mixed)
+    with pytest.raises(InvalidMorphismError, match="outside"):
+        conn_disagreements(S, V, np.array([[0, 1, 1, 2, 0, 1]]))

@@ -1,6 +1,6 @@
-"""The compiled kernels must agree exactly with their interpreted fallbacks,
-and the numpy kernels and the pruned searches with the loop references in
-conftest."""
+"""The loop kernels must agree with the brute-force oracles in conftest and,
+compiled, exactly with their interpreted fallbacks; the numpy kernels and
+the pruned searches must agree with the loop references in conftest."""
 
 import importlib.util
 import itertools
@@ -14,9 +14,9 @@ import pytest
 
 import treeconn as tc
 from treeconn import kernels, search
-from treeconn.homsets import _emb_rows
+from treeconn.homsets import _emb_rows, _min_table, _rigid_rows
 from conftest import (dfs_bad_coloring_loop, dfs_degree_loop, doubling_pair_sweep_loop,
-                      pair_caps_loop, small_trees)
+                      emb_oracle, incinj_oracle, pair_caps_loop, rigid_oracle, small_trees)
 
 
 def both(kernel, *args):
@@ -25,44 +25,56 @@ def both(kernel, *args):
     return compiled, interpreted
 
 
+# All trees up to 4 vertices; doubling(chain2) is one of them.
+KERNEL_TREES = small_trees(4)
+
+
 def test_embedding_search_backends_agree():
-    S, T = tc.chain(3), tc.parse_tree("((())(()))")
-    for pin in (True, False):
-        (c1, o1), (c2, o2) = both(kernels.embedding_search, S.meet_table, T.meet_table, pin, 64)
-        assert c1 == c2
-        assert np.array_equal(o1[:c1], o2[:c2])
+    # Meet tables with the root pinned give tree embeddings; min tables
+    # without it give increasing injections.
+    for S, T in itertools.product(KERNEL_TREES, repeat=2):
+        for pin, tables, oracle in ((True, (S.meet_table, T.meet_table), emb_oracle),
+                                    (False, (_min_table(S.n), _min_table(T.n)), incinj_oracle)):
+            (c1, o1), (c2, o2) = both(kernels.embedding_search, *tables, pin, 64)
+            assert c1 == c2
+            assert np.array_equal(o1[:c1], o2[:c2])
+            assert o1[:c1].tolist() == [list(v) for v in oracle(S, T)], (S, T, pin)
 
 
 def test_rigid_kernels_backends_agree():
-    T = tc.doubling_tree(tc.chain(2)).tree
-    S = tc.chain(2)
-    skels = _emb_rows(S, T, tc.DEFAULT_BUDGET)
-    n1, n2 = both(kernels.rigid_count, skels, T.anc, 10_000)
-    assert n1 == n2
-    out1 = np.empty((int(n1), T.n), dtype=np.int64)
-    out2 = np.empty((int(n1), T.n), dtype=np.int64)
-    k1 = kernels.rigid_fill(skels, T.anc, out1)
-    k2 = kernels.py_func(kernels.rigid_fill)(skels, T.anc, out2)
-    assert k1 == k2 == n1
-    assert np.array_equal(out1, out2)
+    for S, T in itertools.product(KERNEL_TREES, repeat=2):
+        skels = _emb_rows(S, T, tc.DEFAULT_BUDGET)
+        n1, n2 = both(kernels.rigid_count, skels, T.anc, 10_000)
+        want = rigid_oracle(T, S)
+        assert n1 == n2 == len(want), (S, T)
+        out1 = np.empty((int(n1), T.n), dtype=np.int64)
+        out2 = np.empty((int(n1), T.n), dtype=np.int64)
+        k1 = kernels.rigid_fill(skels, T.anc, out1)
+        k2 = kernels.py_func(kernels.rigid_fill)(skels, T.anc, out2)
+        assert k1 == k2 == n1
+        assert np.array_equal(out1, out2)
+        assert sorted(map(tuple, out1.tolist())) == want, (S, T)
 
 
 def test_pair_kernels_backends_agree():
     # pair_caps is numpy only, so it is checked against its loop reference.
-    trees = small_trees(4) + (tc.doubling_tree(tc.chain(2)).tree,)
-    for S in trees:
-        for T in trees:
-            erows = _emb_rows(S, T, tc.DEFAULT_BUDGET)
-            if len(erows):
-                assert kernels.pair_caps(erows, T.n).tolist() == pair_caps_loop(erows, T.n)
-    S, T = tc.chain(2), tc.chain(4)
-    from treeconn.homsets import _rigid_rows
-
-    srows = _rigid_rows(T, S, tc.DEFAULT_BUDGET)
-    erows = _emb_rows(S, T, tc.DEFAULT_BUDGET)
-    caps = kernels.pair_caps(erows, T.n)
-    m1, m2 = both(kernels.pair_filter, srows, erows, caps)
-    assert np.array_equal(m1, m2)
+    for S, T in itertools.product(KERNEL_TREES, repeat=2):
+        erows = _emb_rows(S, T, tc.DEFAULT_BUDGET)
+        if len(erows):
+            assert kernels.pair_caps(erows, T.n).tolist() == pair_caps_loop(erows, T.n)
+    hits = 0
+    for S, T in ((tc.chain(2), tc.chain(4)), (tc.chain(2), tc.doubling_tree(tc.chain(2)).tree),
+                 (tc.parse_tree("(()())"), tc.parse_tree("(()(()))"))):
+        srows = _rigid_rows(T, S, tc.DEFAULT_BUDGET)
+        erows = _emb_rows(S, T, tc.DEFAULT_BUDGET)
+        caps = kernels.pair_caps(erows, T.n)
+        m1, m2 = both(kernels.pair_filter, srows, erows, caps)
+        assert np.array_equal(m1, m2)
+        want = [[tc.is_connection(tc.TreeMap(T, S, s), tc.TreeMap(S, T, e)) for e in erows.tolist()]
+                for s in srows.tolist()]
+        assert m1.tolist() == want, (S, T)
+        hits += int(m1.sum())
+    assert hits > 0
 
 
 C2, C3 = tc.chain(2), tc.chain(3)

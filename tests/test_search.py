@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 from types import SimpleNamespace
@@ -11,7 +12,8 @@ from treeconn import kernels, search
 from treeconn.errors import DegenerateInputError, InvalidMorphismError
 from treeconn.homsets import HomSet
 from treeconn.search import _csr, count_outer_pairs
-from conftest import copy_family_loop, csr_loop, naive_bad_coloring, naive_degree, small_trees
+from conftest import (copy_family_loop, csr_loop, naive_bad_coloring, naive_degree, small_trees,
+                      verify_lower_bound_direct_loop, verify_no_ramsey_loop)
 
 C1, C2, C3 = tc.chain(1), tc.chain(2), tc.chain(3)
 D1 = tc.doubling_tree(C2).tree
@@ -329,6 +331,56 @@ def test_lower_bound_detects_planted_violation():
     viol = np.full((16, 2), -1, dtype=np.int64)
     nfeas, nviol = kernels.doubling_pair_sweep(rows, rows, V.anc, base, wrong_first, viol)
     assert nfeas > 0 and nviol > 0
+
+
+# chain1, chain2, the 3-vertex trees and the 4-vertex sources of the
+# benchmark's lower-bound family.
+DIRECT_SOURCES = ("()", "(())", "(()())", "((()))", "(()()())", "(()(()))", "((())())",
+                  "((()()))", "(((())))")
+
+
+def _plant(dbl, a):
+    """The doubling with a's first double moved onto a itself: each witness
+    stays a valid connection but no longer disagrees at a."""
+    return dataclasses.replace(dbl, doubles={**dbl.doubles, a: (dbl.base_index[a], dbl.doubles[a][1])})
+
+
+@pytest.mark.parametrize("block_cells", [kernels._BLOCK_CELLS, 100])
+def test_direct_verifications_match_loop_references(monkeypatch, block_cells):
+    # With 100-cell blocks the outer morphisms fall in many blocks.
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", block_cells)
+    cases = [(text, V) for text in DIRECT_SOURCES
+             for D in [tc.doubling_tree(tc.parse_tree(text)).tree] for V in (D, tc.plus_leaf(D))]
+    cases.append(("(())", D2))
+    truncated = 0
+    for text, V in cases:
+        S = tc.parse_tree(text)
+        dbl = tc.doubling_tree(S)
+        rep = tc.verify_lower_bound(S, V, method="direct")
+        assert rep.ok
+        assert rep == verify_lower_bound_direct_loop(dbl, V), (text, V)
+        for a in dbl.marked:
+            planted = _plant(dbl, a)
+            rep = search._verify_lower_bound_direct(planted, V, tc.DEFAULT_BUDGET)
+            assert not rep.ok and 0 < len(rep.details) <= 16
+            assert rep == verify_lower_bound_direct_loop(planted, V), (text, V, a)
+            truncated += rep.checked // 2 > 16
+        for x in dbl.marked:
+            w = dbl.connection_for({x})
+            rep = tc.verify_no_ramsey(S, dbl.tree, x, w.surj, w.emb, V)
+            assert rep.ok
+            assert rep == verify_no_ramsey_loop(S, dbl.tree, x, w.surj, w.emb, V), (text, V, x)
+    # Half the checks of a planted vertex are violations: some cases keep
+    # only the first 16.
+    assert truncated > 0
+
+
+def test_direct_lower_bound_rejects_an_invalid_composite():
+    dbl = tc.doubling_tree(C2)
+    # Not an embedding (the root is not preserved), yet shaped like a witness.
+    broken = dataclasses.replace(dbl, base_index=(1, 2))
+    with pytest.raises(InvalidMorphismError, match="composite failed re-validation"):
+        search._verify_lower_bound_direct(broken, dbl.tree, tc.DEFAULT_BUDGET)
 
 
 def test_no_ramsey_pass_and_preconditions():
