@@ -347,7 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; 2 is the
+        # exit code of an unknown verdict, so a usage error exits 3.
+        return 0 if exc.code in (0, None) else 3
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -13,13 +13,13 @@ without building a ``Connection``.
 
 Surjection-bearing Hom-sets are generated from embeddings: every rigid
 surjection is the unique extension of its induced embedding (its skeleton)
-by choices at the positions off the skeleton.  Rigid surjections alone are
-filled skeleton by skeleton.  Connections, and partial strong pairs once per
-initial segment, are generated pair-first: each (skeleton, embedding) pair
-that can carry a connection is expanded directly over the values its free
-positions allow, so ``max_hom`` bounds the output before any row exists and
-no skeleton x embedding cross product is built.  The slow filter-all-maps
-generators live in the test suite as oracles.
+by choices at the positions off the skeleton.  Connections, and partial
+strong pairs once per initial segment, are generated pair-first: each
+(skeleton, embedding) pair that can carry a connection is expanded directly
+over the values its free positions allow, so ``max_hom`` bounds the output
+before any row exists and no skeleton x embedding cross product is built.
+Rigid surjections are expanded the same way, each skeleton on its own.  The
+slow filter-all-maps generators live in the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -125,31 +125,25 @@ def _rigid_rows(frm: OrderedTree, onto: OrderedTree, budget: Budget) -> np.ndarr
     skels = _emb_rows(onto, frm, budget)
     if len(skels) == 0:
         return np.empty((0, frm.n), dtype=np.int64)
-    count = int(kernels.rigid_count(skels, frm.anc, budget.max_hom))
+    count = kernels.rigid_count(skels, frm.anc, budget.max_hom)
     if count > budget.max_hom:
         raise BudgetExceededError(
             f"more than max_hom={budget.max_hom} rigid surjections", kind="max_hom"
         )
     out = np.empty((count, frm.n), dtype=np.int64)
-    filled = kernels.rigid_fill(skels, frm.anc, out)
-    assert filled == count
-    if count > 1:
-        out = out[np.lexsort(out.T[::-1])]
-    return out
+    kernels.rigid_fill(skels, frm.anc, out)
+    return out[np.lexsort(out.T[::-1])]
 
 
 def count_rigid_surjections(frm: OrderedTree, onto: OrderedTree,
-                            budget: Budget = DEFAULT_BUDGET, *,
-                            cap: int | None = None, linear: bool = False) -> int:
+                            budget: Budget = DEFAULT_BUDGET, *, cap: int | None = None) -> int:
     """Exact number of rigid surjections frm -> onto without materializing
     them; clamped to cap + 1 when it exceeds ``cap``."""
     _check_sizes(budget, frm, onto)
-    skels = _emb_rows(onto, frm, budget, linear=linear)
+    skels = _emb_rows(onto, frm, budget)
     if len(skels) == 0:
         return 0
-    dom = _leq_matrix(frm.n) if linear else frm.anc
-    limit = budget.max_hom if cap is None else cap
-    return int(kernels.rigid_count(skels, dom, limit))
+    return kernels.rigid_count(skels, frm.anc, budget.max_hom if cap is None else cap)
 
 
 def enumerate_embeddings(S: OrderedTree, T: OrderedTree,
@@ -179,10 +173,15 @@ def enumerate_connections(S: OrderedTree, T: OrderedTree, category: str = CONN,
     if category not in (CONN, CONN_LINEAR, CONN_ROOT):
         raise ValueError(f"enumerate_connections does not handle {category!r}")
     _check_sizes(budget, S, T)
-    linear = category != CONN
-    skels = _emb_rows(S, T, budget, linear=linear)
+    return _connections(S, T, category, _emb_rows(S, T, budget, linear=category != CONN), budget)
+
+
+def _connections(S: OrderedTree, T: OrderedTree, category: str, skels: np.ndarray,
+                 budget: Budget) -> HomSet:
+    """Hom(S, T) for a total-pair category from its skeletons: the rows of
+    the embeddings S -> T, or of the increasing injections when linear."""
     embs = skels[skels[:, 0] == 0] if category == CONN_ROOT else skels
-    dom = _leq_matrix(T.n) if linear else T.anc
+    dom = T.anc if category == CONN else _leq_matrix(T.n)
     rows = kernels.connection_rows(skels, embs, dom, budget.max_hom)
     if rows is None:
         raise BudgetExceededError(f"more than max_hom={budget.max_hom} connections", kind="max_hom")

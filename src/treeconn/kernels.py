@@ -3,11 +3,13 @@
 Connections are generated pair-first: ``realizable_pairs`` finds the
 (skeleton, embedding) pairs that carry a connection, ``connection_rows``
 expands each pair over its free positions, and ``doubling_pair_sweep``
-checks the doubling stability condition on the pairs.  These are plain
-numpy, vectorised over pairs in blocks of a fixed cell count.
+checks the doubling stability condition on the pairs.  Rigid surjections
+(``rigid_count``, ``rigid_fill``) go through the same mixed-radix expansion,
+one skeleton per pair.  These are plain numpy, vectorised over pairs in
+blocks of a fixed cell count.
 
-The loop kernels (embedding backtracking, rigid-surjection count and fill,
-the coloring searches) are compiled with numba when it imports and run
+The loop kernels (embedding backtracking, the two coloring searches and the
+unused ``pair_filter``) are compiled with numba when it imports and run
 interpreted otherwise.  ``TREECONN_BACKEND=python`` selects the interpreted
 code; ``TREECONN_BACKEND=numba`` demands numba and fails at import without it.
 ``perfbench/run.py`` measures both kinds end to end and per kernel.
@@ -108,102 +110,6 @@ def embedding_search(meet_s, meet_t, pin_root, max_out):
         if d < ns:
             cand[d] = 0
     return count, out
-
-
-@_jit
-def rigid_count(skels, dom, cap):
-    """Number of surjections whose induced embedding is one of ``skels``.
-
-    skels: (k, ns) rows are embeddings of the small tree into the big one.
-    dom: (nt, nt) bool, dom[u, y] true when assigning image x with skeleton
-    vertex u=skel[x] to position y is allowed (ancestry for trees, <= for
-    linear orders).  The count is clamped to cap + 1 as soon as it is known
-    to exceed cap.
-    """
-    k = skels.shape[0]
-    ns = skels.shape[1]
-    nt = dom.shape[0]
-    inskel = np.zeros(nt, dtype=np.bool_)
-    total = np.int64(0)
-    for p in range(k):
-        for y in range(nt):
-            inskel[y] = False
-        for x in range(ns):
-            inskel[skels[p, x]] = True
-        prod = np.int64(1)
-        for y in range(nt):
-            if inskel[y]:
-                continue
-            cnt = np.int64(0)
-            for x in range(ns):
-                if dom[skels[p, x], y]:
-                    cnt += 1
-            prod *= cnt
-            if prod == 0 or prod > cap:
-                break
-        total += prod
-        if total > cap:
-            return cap + np.int64(1)
-    return total
-
-
-@_jit
-def rigid_fill(skels, dom, out):
-    """Materialize the surjections counted by ``rigid_count`` into ``out``.
-
-    Rows are grouped by skeleton and enumerated odometer-style over the free
-    positions; the caller sorts the result into canonical order.
-    """
-    k = skels.shape[0]
-    ns = skels.shape[1]
-    nt = dom.shape[0]
-    allowed = np.empty((nt, ns), dtype=np.int64)
-    na = np.empty(nt, dtype=np.int64)
-    freev = np.empty(nt, dtype=np.int64)
-    idx = np.empty(nt, dtype=np.int64)
-    s = np.empty(nt, dtype=np.int64)
-    pos = 0
-    for p in range(k):
-        for y in range(nt):
-            s[y] = -1
-        for x in range(ns):
-            s[skels[p, x]] = x
-        nf = 0
-        feasible = True
-        for y in range(nt):
-            if s[y] >= 0:
-                continue
-            cnt = 0
-            for x in range(ns):
-                if dom[skels[p, x], y]:
-                    allowed[nf, cnt] = x
-                    cnt += 1
-            if cnt == 0:
-                feasible = False
-                break
-            na[nf] = cnt
-            freev[nf] = y
-            nf += 1
-        if not feasible:
-            continue
-        for f in range(nf):
-            idx[f] = 0
-        while True:
-            for f in range(nf):
-                s[freev[f]] = allowed[f, idx[f]]
-            for y in range(nt):
-                out[pos, y] = s[y]
-            pos += 1
-            f = nf - 1
-            while f >= 0:
-                idx[f] += 1
-                if idx[f] < na[f]:
-                    break
-                idx[f] = 0
-                f -= 1
-            if f < 0:
-                break
-    return pos
 
 
 @_jit
@@ -475,13 +381,15 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
 
 
 # ---------------------------------------------------------------------------
-# Pair-first connection generation (plain numpy, vectorised over pairs).
+# Surjection rows by mixed radix (plain numpy, vectorised over pairs).
 #
 # A connection (s, j) is a skeleton m, the induced embedding of s, paired
 # with an embedding j; the rows below are (skels[p], embs[q]) index pairs.
-# The pair tests work in blocks of about _BLOCK_CELLS cells and the row
-# expansion one output column at a time, so memory follows the output and
-# not the skeleton x embedding cross product.
+# A rigid surjection is a skeleton alone.  Either way each position of s
+# takes one of the values its pair allows, so the maps of a pair are the
+# mixed-radix numbers over those choices.  The pair tests and the expansion
+# work in blocks of about _BLOCK_CELLS cells, so memory follows the output
+# and not the skeleton x embedding cross product.
 # ---------------------------------------------------------------------------
 
 _BLOCK_CELLS = 1 << 14
@@ -526,74 +434,125 @@ def realizable_pairs(skels, embs, dom, caps):
         yield p, q + q0
 
 
-def _allowed(skels, embs, caps, dom, p, q):
-    """allowed[k, y, x]: position y may take value x in the connections of
-    pair (p[k], q[k]).  Positions on the skeleton or the embedding image are
-    forced to the one value x with m(x) = y or j(x) = y; any other y takes
-    each x with dom[m(x), y] and x <= caps[q, y]."""
-    ns = skels.shape[1]
+def _allowed(ms, js, caps, dom):
+    """allowed[k, y, x]: position y may take value x in the maps of pair k,
+    with skeleton ms[k] and embedding js[k].  Positions on either are forced
+    to the one x with ms[k, x] = y or js[k, x] = y; any other y takes each x
+    with dom[ms[k, x], y] and, unless caps is None, x <= caps[k, y]."""
+    k, ns = ms.shape
     nt = dom.shape[0]
-    ms, js = skels[p], embs[q]
     xs = np.arange(ns)
     allowed = dom[ms[:, None, :], np.arange(nt)[None, :, None]]
-    allowed &= xs[None, None, :] <= caps[q][:, :, None]
-    forced = np.full((len(p), nt), -1, dtype=np.int64)
-    rows = np.arange(len(p))[:, None]
+    if caps is not None:
+        allowed &= xs <= caps[:, :, None]
+    forced = np.full((k, nt), -1, dtype=np.int64)
+    rows = np.arange(k)[:, None]
     forced[rows, ms] = xs
     forced[rows, js] = xs
     fixed = forced >= 0
-    allowed[fixed] = xs[None, :] == forced[fixed][:, None]
+    allowed[fixed] = xs == forced[fixed][:, None]
     return allowed
 
 
-def connection_rows(skels, embs, dom, max_out):
-    """Every connection over the realizable (skeleton, embedding) pairs, as
-    rows s | j of length nt + ns in lexicographic order.
+def _row_counts(allowed, cap):
+    """Maps of each pair: the product of its radices allowed.sum(axis=2),
+    clamped to cap + 1."""
+    # A float product cannot wrap; clamped, it is exact below cap + 1.
+    prod = allowed.sum(axis=2).prod(axis=1, dtype=np.float64)
+    return np.minimum(prod, cap + 1).astype(np.int64)
 
-    Each pair expands by mixed radix over its free positions.  Returns None,
-    before allocating any row, when there are more than max_out rows.
+
+def _expand(blocks, width, max_out, out=None):
+    """Rows of every map the pairs of ``blocks`` allow, by mixed radix.
+
+    blocks yields (allowed, tail) per block of pairs: allowed[k, y, x] says
+    that position y < nt may take value x in the maps of pair k, and each of
+    its rows is the map followed by tail[k], width entries in all.  A pair
+    lists its maps with the last position fastest and values ascending, and
+    pairs keep their order.  Returns None, before allocating any row, when
+    there are more than max_out rows; otherwise the rows, in ``out`` when it
+    is given.
     """
-    ns = skels.shape[1]
-    nt = dom.shape[0]
-    caps = pair_caps(embs, nt)
-    step = max(1, _BLOCK_CELLS // max(nt * ns, 1))
-    empty = np.empty(0, dtype=np.int64)
-    ps, qs, cs = [empty], [empty], [empty]
-    total = 0
-    for block_p, block_q in realizable_pairs(skels, embs, dom, caps):
-        for k0 in range(0, len(block_p), step):
-            bp, bq = block_p[k0:k0 + step], block_q[k0:k0 + step]
-            allowed = _allowed(skels, embs, caps, dom, bp, bq)
-            # A float product cannot wrap; clamped, it is exact below max_out + 1.
-            prod = allowed.sum(axis=2).prod(axis=1, dtype=np.float64)
-            bc = np.minimum(prod, max_out + 1).astype(np.int64)
-            total += int(bc.sum())
-            if total > max_out:
-                return None
-            # Kept pairs have a row each, so they number at most max_out.
-            keep = bc > 0
-            ps.append(bp[keep])
-            qs.append(bq[keep])
-            cs.append(bc[keep])
-    p, q, counts = np.concatenate(ps), np.concatenate(qs), np.concatenate(cs)
-    out = np.empty((total, nt + ns), dtype=np.int64)
+    kept, total = [], 0
+    for allowed, tail in blocks:
+        counts = _row_counts(allowed, max_out)
+        total += int(counts.sum())
+        if total > max_out:
+            return None
+        # Kept pairs have a row each, so they number at most max_out.
+        keep = counts > 0
+        kept.append((allowed[keep], tail[keep], counts[keep]))
+    if out is None:
+        out = np.empty((total, width), dtype=np.int64)
     pos = 0
-    for k0 in range(0, len(p), step):
-        bp, bq, bc = p[k0:k0 + step], q[k0:k0 + step], counts[k0:k0 + step]
-        allowed = _allowed(skels, embs, caps, dom, bp, bq)
+    for allowed, tail, counts in kept:
+        nt = allowed.shape[1]
         radix = allowed.sum(axis=2)
         values = np.argsort(~allowed, axis=2, kind="stable")
-        n = int(bc.sum())
-        pair = np.repeat(np.arange(len(bp)), bc)
-        digits = np.arange(n) - np.repeat(np.cumsum(bc) - bc, bc)
+        n = int(counts.sum())
+        pair = np.repeat(np.arange(len(counts)), counts)
+        digits = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
         block = out[pos:pos + n]
         for y in range(nt - 1, -1, -1):
             r = radix[pair, y]
             block[:, y] = values[pair, y, digits % r]
             digits //= r
-        block[:, nt:] = embs[bq[pair]]
+        block[:, nt:] = tail[pair]
         pos += n
-    return out[np.lexsort(out.T[::-1])]
+    return out[:total]
+
+
+def connection_rows(skels, embs, dom, max_out):
+    """Every connection over the realizable (skeleton, embedding) pairs, as
+    rows s | j of length nt + ns in lexicographic order, or None, before any
+    row is allocated, when there are more than max_out."""
+    ns = skels.shape[1]
+    nt = dom.shape[0]
+    caps = pair_caps(embs, nt)
+    step = max(1, _BLOCK_CELLS // max(nt * ns, 1))
+
+    def blocks():
+        for p, q in realizable_pairs(skels, embs, dom, caps):
+            for k0 in range(0, len(p), step):
+                bq = q[k0:k0 + step]
+                yield _allowed(skels[p[k0:k0 + step]], embs[bq], caps[bq], dom), embs[bq]
+
+    out = _expand(blocks(), nt + ns, max_out)
+    return None if out is None else out[np.lexsort(out.T[::-1])]
+
+
+def _rigid_blocks(skels, dom):
+    """(allowed, empty tail) for blocks of skeletons: position y takes the
+    one x with m(x) = y on the skeleton m, and each x with dom[m(x), y] off
+    it (ancestry for trees, <= for linear orders)."""
+    ns = skels.shape[1]
+    nt = dom.shape[0]
+    step = max(1, _BLOCK_CELLS // max(nt * ns, 1))
+    for k0 in range(0, len(skels), step):
+        ms = skels[k0:k0 + step]
+        yield _allowed(ms, ms, None, dom), np.empty((len(ms), 0), dtype=np.int64)
+
+
+def rigid_count(skels, dom, cap):
+    """Number of surjections whose induced embedding is one of ``skels``
+    (rows: embeddings of the small tree into the big one), clamped to
+    cap + 1 as soon as it is known to exceed cap."""
+    total = 0
+    for allowed, _ in _rigid_blocks(skels, dom):
+        total += int(_row_counts(allowed, cap).sum())
+        if total > cap:
+            return cap + 1
+    return total
+
+
+def rigid_fill(skels, dom, out):
+    """Write the surjections counted by ``rigid_count`` into ``out`` and
+    return their number.  Rows are grouped by skeleton, in mixed-radix order
+    over the free positions; the caller sorts them into canonical order."""
+    rows = _expand(_rigid_blocks(skels, dom), dom.shape[0], len(out), out)
+    if rows is None:
+        raise ValueError(f"more than {len(out)} rigid surjections; out is too short")
+    return len(rows)
 
 
 def doubling_pair_sweep(ms, js, anc, base, first_double, viol_out):

@@ -19,8 +19,8 @@ from .errors import (
     DegenerateInputError,
     InvalidMorphismError,
 )
-from .homsets import (HomSet, _emb_rows, composite_blocks, composite_indices,
-                      conn_disagreements, count_rigid_surjections, enumerate_connections,
+from .homsets import (HomSet, _check_sizes, _connections, _emb_rows, composite_blocks,
+                      composite_indices, conn_disagreements, enumerate_connections,
                       enumerate_hom)
 from .morphisms import CONN, Connection, TreeMap, induced_embedding, validate_connection
 from .trees import OrderedTree
@@ -349,17 +349,22 @@ def verify_lower_bound(S: OrderedTree, witness: OrderedTree | None = None,
     depends on the outer surjection only through its induced embedding.
     Both methods agree wherever both are feasible (tested).
     """
+    if method not in ("auto", "direct", "factored"):
+        raise ValueError(f"unknown method {method!r}")
     dbl = doubling_tree(S)
     T = dbl.tree
     V = T if witness is None else witness
+    _check_sizes(budget, T, V)
+    # The embeddings T -> V are the skeletons of the rigid surjections the
+    # auto choice counts, the pairs of the factored sweep and the skeletons
+    # of Hom(T, V) for the direct method: enumerate them once.
+    rows = _emb_rows(T, V, budget)
     if method == "auto":
-        rs_count = count_rigid_surjections(V, T, budget, cap=_DIRECT_CAP)
+        rs_count = kernels.rigid_count(rows, V.anc, _DIRECT_CAP)
         method = "direct" if rs_count <= _DIRECT_CAP else "factored"
     if method == "direct":
-        return _verify_lower_bound_direct(dbl, V, budget)
-    if method == "factored":
-        return _verify_lower_bound_factored(dbl, V, budget)
-    raise ValueError(f"unknown method {method!r}")
+        return _verify_lower_bound_direct(dbl, V, rows, budget)
+    return _verify_lower_bound_factored(dbl, V, rows)
 
 
 def _composite_disagreements(hom_st: HomSet, hom_tv: HomSet) -> Iterator[tuple[int, np.ndarray]]:
@@ -381,10 +386,11 @@ def _outer(hom_tv: HomSet, g: int) -> str:
     return f"outer surj {tuple(row[:vn])} emb {tuple(row[vn:])}"
 
 
-def _verify_lower_bound_direct(dbl: DoublingResult, V: OrderedTree,
+def _verify_lower_bound_direct(dbl: DoublingResult, V: OrderedTree, rows: np.ndarray,
                                budget: Budget) -> VerificationReport:
+    """The direct method; rows are the embeddings T -> V."""
     S, T = dbl.base, dbl.tree
-    hom_tv = enumerate_connections(T, V, CONN, budget)
+    hom_tv = _connections(T, V, CONN, rows, budget)
     subsets = list(dbl.subsets())
     witnesses = HomSet(CONN, S, T, np.array(
         [dbl.surj.values + dbl.embedding_for(B).values for B in subsets], dtype=np.int64))
@@ -412,9 +418,8 @@ def _verify_lower_bound_direct(dbl: DoublingResult, V: OrderedTree,
 
 
 def _verify_lower_bound_factored(dbl: DoublingResult, V: OrderedTree,
-                                 budget: Budget) -> VerificationReport:
-    T = dbl.tree
-    rows = _emb_rows(T, V, budget)
+                                 rows: np.ndarray) -> VerificationReport:
+    """The factored method; rows are the embeddings T -> V."""
     base = np.array([dbl.base_index[x] for x in dbl.marked], dtype=np.int64)
     first = np.array([dbl.doubles[x][0] for x in dbl.marked], dtype=np.int64)
     viol = np.full((16, 2), -1, dtype=np.int64)
@@ -487,6 +492,8 @@ def verify_no_ramsey(S: OrderedTree, T: OrderedTree, x: int, s: TreeMap,
         for g in np.flatnonzero((colors != (0, 1)).any(axis=1))[: 16 - len(bad)].tolist():
             c0, c1 = colors[g].tolist()
             bad.append(f"{_outer(hom_tv, lo + g)}: colors ({c0}, {c1})")
+    # An empty Hom(T, witness) checks nothing, so it is no pass.
+    ok = not bad and len(hom_tv) > 0
     return VerificationReport(
-        "two-coloring-separation", not bad, len(hom_tv), "direct", tuple(bad)
+        "two-coloring-separation", ok, len(hom_tv), "direct", tuple(bad)
     )

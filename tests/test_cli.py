@@ -95,6 +95,27 @@ def test_input_and_budget_exit_codes(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_no_ramsey_with_no_outer_morphism_fails(capsys):
+    # chain2 is smaller than doubling(chain2): Hom(T, witness) is empty, so
+    # nothing was checked and the report must not pass.
+    code, out, _ = run_cli(capsys, "verify", "no-ramsey", "chain2", "--vertex", "1",
+                           "--witness", "chain2")
+    assert (code, out) == (1, "two-coloring-separation: FAIL (0 checks, direct)\n")
+
+
+def test_usage_errors_exit_3(capsys):
+    # A missing argument, and a budget flag after the subcommand (the budget
+    # flags belong before it).
+    code, _, err = run_cli(capsys, "arrow", "chain2")
+    assert code == 3 and "usage:" in err
+    code, _, err = run_cli(capsys, "arrow", "chain2", "chain3", "chain5", "--cat", "incinj",
+                           "-r", "2", "--budget-time", "20")
+    assert code == 3 and "unrecognized arguments: --budget-time" in err
+    for argv in (["--help"], ["arrow", "--help"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.startswith("usage: treeconn")
+
+
 def test_export_dot_round_trip(capsys):
     t = tc.parse_tree("(()())")
     dot = export_dot(t)

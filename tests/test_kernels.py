@@ -1,6 +1,9 @@
-"""The loop kernels must agree with the brute-force oracles in conftest and,
-compiled, exactly with their interpreted fallbacks; the numpy kernels and
-the pruned searches must agree with the loop references in conftest."""
+"""The loop kernels (embedding search, the two coloring searches and the
+unused pair_filter) must agree with the brute-force oracles in conftest and,
+compiled, exactly with their interpreted fallbacks.  The numpy kernels (pair
+caps, the mixed-radix expansion behind connection_rows, rigid_count and
+rigid_fill, the doubling sweep) and the pruned searches must agree with the
+loop references in conftest."""
 
 import importlib.util
 import itertools
@@ -9,14 +12,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import treeconn as tc
 from treeconn import kernels, search
-from treeconn.homsets import _emb_rows, _min_table, _rigid_rows
+from treeconn.errors import BudgetExceededError
+from treeconn.homsets import _emb_rows, _leq_matrix, _min_table, _rigid_rows
 from conftest import (dfs_bad_coloring_loop, dfs_degree_loop, doubling_pair_sweep_loop,
-                      emb_oracle, incinj_oracle, pair_caps_loop, rigid_oracle, small_trees)
+                      emb_oracle, incinj_oracle, pair_caps_loop, rigid_count_loop,
+                      rigid_fill_loop, rigid_oracle, small_trees)
 
 
 def both(kernel, *args):
@@ -41,19 +48,100 @@ def test_embedding_search_backends_agree():
             assert o1[:c1].tolist() == [list(v) for v in oracle(S, T)], (S, T, pin)
 
 
+def _rigid_matches_loop_reference(skels, dom, caps):
+    """rigid_count at each cap, and rigid_fill row for row in its unsorted
+    order, equal the loop references; returns the filled rows."""
+    for cap in caps:
+        assert kernels.rigid_count(skels, dom, cap) == rigid_count_loop(skels, dom, cap), cap
+    n = int(rigid_count_loop(skels, dom, 10**9))
+    got = np.full((n, dom.shape[0]), -1, dtype=np.int64)
+    want = np.full((n, dom.shape[0]), -1, dtype=np.int64)
+    assert kernels.rigid_fill(skels, dom, got) == rigid_fill_loop(skels, dom, want) == n
+    assert np.array_equal(got, want)
+    return got
+
+
 def test_rigid_kernels_backends_agree():
-    for S, T in itertools.product(KERNEL_TREES, repeat=2):
+    # Every pair of trees up to 5 vertices: counts (clamped at caps 0, 1
+    # and 4 too), unsorted rows, the sorted Hom rows and the oracle.
+    for S, T in itertools.product(small_trees(5), repeat=2):
         skels = _emb_rows(S, T, tc.DEFAULT_BUDGET)
-        n1, n2 = both(kernels.rigid_count, skels, T.anc, 10_000)
+        rows = _rigid_matches_loop_reference(skels, T.anc, (0, 1, 4, 10**6))
         want = rigid_oracle(T, S)
-        assert n1 == n2 == len(want), (S, T)
-        out1 = np.empty((int(n1), T.n), dtype=np.int64)
-        out2 = np.empty((int(n1), T.n), dtype=np.int64)
-        k1 = kernels.rigid_fill(skels, T.anc, out1)
-        k2 = kernels.py_func(kernels.rigid_fill)(skels, T.anc, out2)
-        assert k1 == k2 == n1
-        assert np.array_equal(out1, out2)
-        assert sorted(map(tuple, out1.tolist())) == want, (S, T)
+        assert sorted(map(tuple, rows.tolist())) == want, (S, T)
+        assert list(map(tuple, _rigid_rows(T, S, tc.DEFAULT_BUDGET).tolist())) == want
+        assert tc.count_rigid_surjections(T, S) == len(want)
+        assert tc.count_rigid_surjections(T, S, cap=2) == min(len(want), 3)
+
+
+def _doubling_family():
+    """(S, V) for S = chain2 and doubling(chain2) and V its doubling,
+    doubling^2(chain2) and every 1- and 2-leaf extension of the latter (up
+    to 10 vertices), as in the conn-family benchmark."""
+    leaf = tc.Forest((-1,))
+    vs = [D1, D2] + [tc.graft(D2, list(a), [leaf] * k).tree
+                     for k in (1, 2) for a in itertools.combinations(range(D2.n), k)]
+    return [(S, V) for V in vs for S in (C2, D1)]
+
+
+@pytest.mark.parametrize("block_cells", [kernels._BLOCK_CELLS, 1])
+def test_rigid_kernels_match_loop_reference_on_the_doubling_family(monkeypatch, block_cells):
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", block_cells)
+    biggest = 0
+    for S, V in _doubling_family():
+        skels = _emb_rows(S, V, tc.DEFAULT_BUDGET)
+        n = int(rigid_count_loop(skels, V.anc, 10**9))
+        rows = _rigid_matches_loop_reference(skels, V.anc, (0, n // 2, n - 1, n))
+        want = rows[np.lexsort(rows.T[::-1])]
+        assert np.array_equal(_rigid_rows(V, S, tc.DEFAULT_BUDGET), want), (S, V)
+        biggest = max(biggest, n)
+    assert biggest > 2000
+
+
+def test_rigid_kernels_skip_a_skeleton_with_an_empty_position():
+    # Under <= on chain4, a skeleton that misses 0 leaves position 0 no
+    # value, so it has no surjection; the others still expand in order.
+    skels = _emb_rows(C2, tc.chain(4), tc.DEFAULT_BUDGET, linear=True)
+    dom = _leq_matrix(4)
+    empty = skels[:, 0] > 0
+    assert empty.any() and not empty.all()
+    rows = _rigid_matches_loop_reference(skels, dom, (0, 2, 10**6))
+    assert len(rows) == kernels.rigid_count(skels[~empty], dom, 10**6) > 0
+    assert kernels.rigid_count(skels[empty], dom, 10**6) == 0
+
+
+def test_rigid_kernels_list_values_ascending_on_wide_positions():
+    # numpy sorts up to 16 entries by insertion sort, which is stable, so
+    # only a position with 17 candidate values shows an unstable value order.
+    skels = _emb_rows(tc.chain(17), tc.chain(18), tc.DEFAULT_BUDGET)
+    assert len(_rigid_matches_loop_reference(skels, tc.chain(18).anc, (10**6,))) == 153
+
+
+def test_rigid_rows_check_max_hom_before_any_row(monkeypatch):
+    skels = _emb_rows(D1, D2, tc.DEFAULT_BUDGET)
+    n = kernels.rigid_count(skels, D2.anc, 10**6)
+    budget = tc.Budget(max_hom=n - 1)
+
+    def fill(*args):
+        raise AssertionError("rigid_fill called past the max_hom check")
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "rigid_fill", fill)
+        with pytest.raises(BudgetExceededError,
+                           match=f"more than max_hom={n - 1} rigid surjections") as exc:
+            _rigid_rows(D2, D1, budget)
+    assert exc.value.kind == "max_hom"
+    with pytest.raises(ValueError, match="out is too short"):
+        kernels.rigid_fill(skels, D2.anc, np.empty((n - 1, D2.n), dtype=np.int64))
+    # The shared expansion refuses 3**12 rows (51 MB) without allocating them.
+    allowed = np.ones((1, 12, 3), dtype=bool)
+    tracemalloc.start()
+    try:
+        assert kernels._expand([(allowed, np.empty((1, 0), dtype=np.int64))], 12, 3**12 - 1) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_pair_kernels_backends_agree():

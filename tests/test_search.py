@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 import treeconn as tc
 from treeconn import kernels, search
 from treeconn.errors import DegenerateInputError, InvalidMorphismError
-from treeconn.homsets import HomSet
+from treeconn import homsets
+from treeconn.homsets import HomSet, _emb_rows
 from treeconn.search import _csr, count_outer_pairs
 from conftest import (copy_family_loop, csr_loop, naive_bad_coloring, naive_degree, small_trees,
                       verify_lower_bound_direct_loop, verify_no_ramsey_loop)
@@ -339,6 +340,11 @@ DIRECT_SOURCES = ("()", "(())", "(()())", "((()))", "(()()())", "(()(()))", "(((
                   "((()()))", "(((())))")
 
 
+def _direct(dbl, V):
+    rows = _emb_rows(dbl.tree, V, tc.DEFAULT_BUDGET)
+    return search._verify_lower_bound_direct(dbl, V, rows, tc.DEFAULT_BUDGET)
+
+
 def _plant(dbl, a):
     """The doubling with a's first double moved onto a itself: each witness
     stays a valid connection but no longer disagrees at a."""
@@ -361,7 +367,7 @@ def test_direct_verifications_match_loop_references(monkeypatch, block_cells):
         assert rep == verify_lower_bound_direct_loop(dbl, V), (text, V)
         for a in dbl.marked:
             planted = _plant(dbl, a)
-            rep = search._verify_lower_bound_direct(planted, V, tc.DEFAULT_BUDGET)
+            rep = _direct(planted, V)
             assert not rep.ok and 0 < len(rep.details) <= 16
             assert rep == verify_lower_bound_direct_loop(planted, V), (text, V, a)
             truncated += rep.checked // 2 > 16
@@ -380,7 +386,34 @@ def test_direct_lower_bound_rejects_an_invalid_composite():
     # Not an embedding (the root is not preserved), yet shaped like a witness.
     broken = dataclasses.replace(dbl, base_index=(1, 2))
     with pytest.raises(InvalidMorphismError, match="composite failed re-validation"):
-        search._verify_lower_bound_direct(broken, dbl.tree, tc.DEFAULT_BUDGET)
+        _direct(broken, dbl.tree)
+
+
+def test_auto_lower_bound_enumerates_the_embeddings_once(monkeypatch):
+    # The auto choice counts the rigid surjections V -> T on the embeddings
+    # T -> V and hands the same rows to the method it picks.
+    cases = [(tc.parse_tree(text), V) for text in ("(())", "(()())", "((()))")
+             for D in [tc.doubling_tree(tc.parse_tree(text)).tree]
+             for V in (D, tc.plus_leaf(D), tc.doubling_tree(D).tree)]
+    want = []
+    for S, V in cases:
+        T = tc.doubling_tree(S).tree
+        n = tc.count_rigid_surjections(V, T, cap=search._DIRECT_CAP)
+        method = "direct" if n <= search._DIRECT_CAP else "factored"
+        want.append(tc.verify_lower_bound(S, V, method=method))
+    assert {rep.method for rep in want} == {"direct", "factored"}
+    calls = []
+
+    def counted(S, T, budget, **kw):
+        calls.append((S, T))
+        return _emb_rows(S, T, budget, **kw)
+
+    monkeypatch.setattr(search, "_emb_rows", counted)
+    monkeypatch.setattr(homsets, "_emb_rows", counted)
+    for (S, V), rep in zip(cases, want):
+        calls.clear()
+        assert tc.verify_lower_bound(S, V) == rep
+        assert calls == [(tc.doubling_tree(S).tree, V)], (S, V, rep.method)
 
 
 def test_no_ramsey_pass_and_preconditions():
