@@ -15,7 +15,7 @@ class Budget:
 
     max_tree_size: int = 8          # enumerate_trees bound
     max_vertices: int = 24          # largest tree accepted by Hom enumeration
-    max_hom: int = 200_000          # largest Hom-set materialized
+    max_hom: int = 200_000          # most rows held: a Hom-set, or any embedding-search level
     max_nodes: int = 20_000_000     # coloring-search assignment budget
     time_cap: float | None = None   # seconds, checked between search chunks
 

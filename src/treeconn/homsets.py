@@ -11,15 +11,16 @@ psc prefix sorts first; re-running yields identical arrays.
 ``conn_disagreements`` checks CONN rows and gives their disagreement sets
 without building a ``Connection``.
 
-Surjection-bearing Hom-sets are generated from embeddings: every rigid
-surjection is the unique extension of its induced embedding (its skeleton)
-by choices at the positions off the skeleton.  Connections, and partial
-strong pairs once per initial segment, are generated pair-first: each
-(skeleton, embedding) pair that can carry a connection is expanded directly
-over the values its free positions allow, so ``max_hom`` bounds the output
-before any row exists and no skeleton x embedding cross product is built.
-Rigid surjections are expanded the same way, each skeleton on its own.  The
-slow filter-all-maps generators live in the test suite as oracles.
+Embeddings are built level by level, within ``max_hom`` at every level, and
+every other Hom-set is generated from them: a rigid surjection is the unique
+extension of its induced embedding (its skeleton) by choices at the
+positions off the skeleton.  Connections, and partial strong pairs once per
+initial segment, are generated pair-first: each (skeleton, embedding) pair
+that can carry a connection is expanded directly over the values its free
+positions allow, so ``max_hom`` bounds the output before any row exists and
+no skeleton x embedding cross product is built.  Rigid surjections, one
+skeleton each, are expanded the same way.  Filter-all-maps oracles live in
+the test suite.
 """
 
 from __future__ import annotations
@@ -103,28 +104,21 @@ def _leq_matrix(n: int) -> np.ndarray:
 def _emb_rows(S: OrderedTree, T: OrderedTree, budget: Budget, *, linear: bool = False) -> np.ndarray:
     """Rows of embeddings S -> T (tree embeddings, or increasing injections
     when ``linear``), in lexicographic order."""
-    if S.n > T.n:
-        return np.empty((0, S.n), dtype=np.int64)
     if linear:
         meet_s, meet_t = _min_table(S.n), _min_table(T.n)
     else:
         meet_s, meet_t = S.meet_table, T.meet_table
-    cap = min(4096, budget.max_hom + 1)
-    count, out = kernels.embedding_search(meet_s, meet_t, not linear, cap)
-    if count > budget.max_hom:
+    count, rows = kernels.embedding_search(meet_s, meet_t, not linear, budget.max_hom)
+    if rows is None:
         raise BudgetExceededError(
-            f"{count} embeddings exceed budget max_hom={budget.max_hom}", kind="max_hom"
+            f"{count} prefix embeddings exceed budget max_hom={budget.max_hom}", kind="max_hom"
         )
-    if count > cap:
-        count, out = kernels.embedding_search(meet_s, meet_t, not linear, count)
-    return out[:count].copy()
+    return rows
 
 
 def _rigid_rows(frm: OrderedTree, onto: OrderedTree, budget: Budget) -> np.ndarray:
     """Rows of rigid surjections frm -> onto, in lexicographic order."""
     skels = _emb_rows(onto, frm, budget)
-    if len(skels) == 0:
-        return np.empty((0, frm.n), dtype=np.int64)
     count = kernels.rigid_count(skels, frm.anc, budget.max_hom)
     if count > budget.max_hom:
         raise BudgetExceededError(
@@ -141,8 +135,6 @@ def count_rigid_surjections(frm: OrderedTree, onto: OrderedTree,
     them; clamped to cap + 1 when it exceeds ``cap``."""
     _check_sizes(budget, frm, onto)
     skels = _emb_rows(onto, frm, budget)
-    if len(skels) == 0:
-        return 0
     return kernels.rigid_count(skels, frm.anc, budget.max_hom if cap is None else cap)
 
 

@@ -1,17 +1,17 @@
 """Array kernels for the hot enumeration and search loops.
 
-Connections are generated pair-first: ``realizable_pairs`` finds the
-(skeleton, embedding) pairs that carry a connection, ``connection_rows``
-expands each pair over its free positions, and ``doubling_pair_sweep``
-checks the doubling stability condition on the pairs.  Rigid surjections
+Embeddings are expanded level by level (``embedding_search``).  Connections
+are generated pair-first: ``realizable_pairs`` finds the (skeleton,
+embedding) pairs that carry a connection, ``connection_rows`` expands each
+pair over its free positions, and ``doubling_pair_sweep`` checks the
+doubling stability condition on the pairs.  Rigid surjections
 (``rigid_count``, ``rigid_fill``) go through the same mixed-radix expansion,
-one skeleton per pair.  These are plain numpy, vectorised over pairs in
-blocks of a fixed cell count.
+one skeleton per pair.  These are plain numpy, in blocks of a fixed cell count.
 
-The loop kernels (embedding backtracking, the two coloring searches and the
-unused ``pair_filter``) are compiled with numba when it imports and run
-interpreted otherwise.  ``TREECONN_BACKEND=python`` selects the interpreted
-code; ``TREECONN_BACKEND=numba`` demands numba and fails at import without it.
+The loop kernels (the two coloring searches and the unused ``pair_filter``)
+are compiled with numba when it imports and run interpreted otherwise.
+``TREECONN_BACKEND=python`` selects the interpreted code;
+``TREECONN_BACKEND=numba`` demands numba and fails at import without it.
 ``perfbench/run.py`` measures both kinds end to end and per kernel.
 """
 
@@ -55,61 +55,6 @@ def py_func(kernel):
 FOUND = 0
 EXHAUSTED = 1
 PAUSED = 2
-
-
-@_jit
-def embedding_search(meet_s, meet_t, pin_root, max_out):
-    """Enumerate structure-preserving increasing injections by backtracking.
-
-    meet_s/meet_t: (n, n) int64 meet tables.  With true meet tables and
-    pin_root this yields tree embeddings; with min-tables and no root pin it
-    yields plain increasing injections.  Candidates are scanned in ascending
-    order, so rows come out in lexicographic order.
-
-    Returns (count, out); only the first max_out rows are materialized, the
-    count keeps running so callers can detect budget overflow exactly.
-    """
-    ns = meet_s.shape[0]
-    nt = meet_t.shape[0]
-    out = np.empty((max_out, ns), dtype=np.int64)
-    img = np.empty(ns, dtype=np.int64)
-    cand = np.zeros(ns, dtype=np.int64)
-    count = 0
-    d = 0
-    while d >= 0:
-        if d == ns:
-            if count < max_out:
-                for x in range(ns):
-                    out[count, x] = img[x]
-            count += 1
-            d -= 1
-            continue
-        c = cand[d]
-        lo = 0 if d == 0 else img[d - 1] + 1
-        if c < lo:
-            c = lo
-        # Leave room for the ns - 1 - d larger images still to place.
-        hi = 1 if (d == 0 and pin_root) else nt - (ns - 1 - d)
-        chosen = np.int64(-1)
-        while c < hi:
-            ok = True
-            for y in range(d):
-                if meet_t[img[y], c] != img[meet_s[y, d]]:
-                    ok = False
-                    break
-            if ok:
-                chosen = c
-                break
-            c += 1
-        if chosen < 0:
-            d -= 1
-            continue
-        img[d] = chosen
-        cand[d] = chosen + 1
-        d += 1
-        if d < ns:
-            cand[d] = 0
-    return count, out
 
 
 @_jit
@@ -381,18 +326,59 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
 
 
 # ---------------------------------------------------------------------------
-# Surjection rows by mixed radix (plain numpy, vectorised over pairs).
+# Embedding rows by frontier, surjection rows by mixed radix (plain numpy).
 #
 # A connection (s, j) is a skeleton m, the induced embedding of s, paired
 # with an embedding j; the rows below are (skels[p], embs[q]) index pairs.
 # A rigid surjection is a skeleton alone.  Either way each position of s
 # takes one of the values its pair allows, so the maps of a pair are the
-# mixed-radix numbers over those choices.  The pair tests and the expansion
-# work in blocks of about _BLOCK_CELLS cells, so memory follows the output
-# and not the skeleton x embedding cross product.
+# mixed-radix numbers over those choices.  The frontier, the pair tests and
+# the expansion work in blocks of about _BLOCK_CELLS cells, so memory follows
+# the output and not the skeleton x embedding cross product.
 # ---------------------------------------------------------------------------
 
 _BLOCK_CELLS = 1 << 14
+
+
+def embedding_search(meet_s, meet_t, pin_root, max_out):
+    """Enumerate structure-preserving increasing injections level by level.
+
+    meet_s/meet_t: (n, n) int64 meet tables; true meet tables with pin_root
+    give tree embeddings, min-tables without it increasing injections.
+    Level d holds the images of source vertices 0..d.  It extends each row
+    by every c above its last value that leaves room for the images still
+    to place and has meet_t[img[d - 1], c] == img[meet_s[d - 1, d]]; the
+    other y < d follow, since in preorder y < x < z makes meet(y, z) the
+    higher of meet(y, x) and meet(x, z).  np.nonzero order keeps the rows
+    lexicographic.
+
+    Returns (count, rows).  A level of more than max_out rows stops the
+    search before it is allocated, with count its size and rows None; tree
+    prefixes can die out, so that level may outnumber the result.
+    """
+    ns = meet_s.shape[0]
+    width = meet_t.shape[0] - ns + 1
+    rows = np.arange(min(width, 1) if pin_root else width, dtype=np.int64)[:, None]
+    for d in range(1, ns):
+        if not 0 < len(rows) <= max_out:
+            break
+        cand = np.arange(d, d + width)
+        step = max(1, _BLOCK_CELLS // width)
+        parts, count = [], 0
+        for block in (rows[r0:r0 + step] for r0 in range(0, len(rows), step)):
+            last = block[:, -1:]
+            ok = (cand > last) & (meet_t[last, cand] == block[:, meet_s[d - 1, d], None])
+            i, j = np.nonzero(ok)
+            count += len(i)
+            if count <= max_out:
+                parts.append(np.column_stack((block[i], cand[j])))
+        if count > max_out:
+            return count, None
+        rows = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if len(rows) > max_out:
+        return len(rows), None
+    # A frontier that died out has fewer than ns columns.
+    return len(rows), rows.reshape(len(rows), ns)
 
 
 def pair_caps(embs, nt):

@@ -9,10 +9,11 @@ the unused half set to ``None``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import InvalidMorphismError
-from .trees import OrderedTree, tree_from_record, tree_to_record
+from .trees import OrderedTree, record_field, tree_from_record, tree_to_record
 
 # Category tags.
 CONN = "conn"              # connections between trees
@@ -396,16 +397,23 @@ def connection_to_record(c: Connection) -> dict:
     }
 
 
+def _record_ints(rec: dict, name: str):
+    """rec[name] as a tuple of ints, or None when it is null or absent."""
+    try:
+        return None if rec.get(name) is None else tuple(map(operator.index, rec[name]))
+    except TypeError:
+        raise ValueError(f"record field {name!r} must be a list of integers") from None
+
+
 def connection_from_record(rec: dict) -> Connection:
-    cat = rec["category"]
-    S = tree_from_record(rec["source"])
-    T = tree_from_record(rec["target"])
-    surj = None
-    if rec.get("surj") is not None:
-        surj = TreeMap(T, S, tuple(rec["surj"]), domain_top=rec.get("domain_top"))
-    emb = None
-    if rec.get("emb") is not None:
-        emb = TreeMap(S, T, tuple(rec["emb"]))
+    cat = record_field(rec, "category")
+    S = tree_from_record(record_field(rec, "source"))
+    T = tree_from_record(record_field(rec, "target"))
+    surj, emb, top = _record_ints(rec, "surj"), _record_ints(rec, "emb"), rec.get("domain_top")
+    if top is not None and not isinstance(top, int):
+        raise ValueError("record field 'domain_top' must be an integer or null")
+    surj = None if surj is None else TreeMap(T, S, surj, domain_top=top)
+    emb = None if emb is None else TreeMap(S, T, emb)
     c = Connection(cat, surj, emb)
     validate_connection(c)
     return c

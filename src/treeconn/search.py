@@ -113,7 +113,7 @@ def copy_family(S: OrderedTree, T: OrderedTree, V: OrderedTree, category: str,
     hit = np.zeros(len(hom_sv), dtype=bool)
     for block in composite_indices(hom_st, hom_tv, hom_sv):
         hit[block] = True
-        copies.extend(tuple(sorted(set(row))) for row in block.tolist())
+        copies.extend(map(tuple, np.sort(block, axis=1).tolist()))
     # compose() validates every composite; validate each distinct one once.
     for i in np.flatnonzero(hit).tolist():
         validate_connection(hom_sv[i])

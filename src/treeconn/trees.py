@@ -10,6 +10,7 @@ any number of roots.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -261,18 +262,30 @@ def tree_to_record(t: OrderedTree | Forest) -> dict:
     return {"n": t.n, "parent": [None if p == ROOT else p for p in t.parent]}
 
 
-def tree_from_record(rec: dict) -> OrderedTree:
-    parent = tuple(ROOT if p is None else int(p) for p in rec["parent"])
+def record_field(rec: dict, name: str):
+    """rec[name]; a ValueError names the field when rec lacks it."""
+    if not isinstance(rec, dict) or name not in rec:
+        raise ValueError(f"record has no field {name!r}")
+    return rec[name]
+
+
+def _record_parent(rec: dict) -> tuple[int, ...]:
+    parent = record_field(rec, "parent")
+    try:
+        parent = tuple(ROOT if p is None else operator.index(p) for p in parent)
+    except TypeError:
+        raise ValueError("record field 'parent' must be a list of integers and nulls") from None
     if rec.get("n") != len(parent):
         raise ValueError("record field 'n' does not match parent length")
-    return OrderedTree(parent)
+    return parent
+
+
+def tree_from_record(rec: dict) -> OrderedTree:
+    return OrderedTree(_record_parent(rec))
 
 
 def forest_from_record(rec: dict) -> Forest:
-    parent = tuple(ROOT if p is None else int(p) for p in rec["parent"])
-    if rec.get("n") != len(parent):
-        raise ValueError("record field 'n' does not match parent length")
-    return Forest(parent)
+    return Forest(_record_parent(rec))
 
 
 def dump_tree(t: OrderedTree | Forest) -> str:

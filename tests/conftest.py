@@ -156,6 +156,57 @@ def trees_up_to_5():
     return small_trees(5)
 
 
+def embedding_search_loop(meet_s, meet_t, pin_root, max_out):
+    """Loop reference for ``kernels.embedding_search``: the same injections
+    by backtracking.  Candidates are scanned in ascending order, so rows
+    come out in lexicographic order.
+
+    Returns (count, out); only the first max_out rows are materialized, the
+    count keeps running past them.
+    """
+    ns = meet_s.shape[0]
+    nt = meet_t.shape[0]
+    out = np.empty((max_out, ns), dtype=np.int64)
+    img = np.empty(ns, dtype=np.int64)
+    cand = np.zeros(ns, dtype=np.int64)
+    count = 0
+    d = 0
+    while d >= 0:
+        if d == ns:
+            if count < max_out:
+                for x in range(ns):
+                    out[count, x] = img[x]
+            count += 1
+            d -= 1
+            continue
+        c = cand[d]
+        lo = 0 if d == 0 else img[d - 1] + 1
+        if c < lo:
+            c = lo
+        # Leave room for the ns - 1 - d larger images still to place.
+        hi = 1 if (d == 0 and pin_root) else nt - (ns - 1 - d)
+        chosen = np.int64(-1)
+        while c < hi:
+            ok = True
+            for y in range(d):
+                if meet_t[img[y], c] != img[meet_s[y, d]]:
+                    ok = False
+                    break
+            if ok:
+                chosen = c
+                break
+            c += 1
+        if chosen < 0:
+            d -= 1
+            continue
+        img[d] = chosen
+        cand[d] = chosen + 1
+        d += 1
+        if d < ns:
+            cand[d] = 0
+    return count, out
+
+
 def pair_caps_loop(embs, nt):
     """Loop reference for ``kernels.pair_caps``: caps[q][y] is the least x
     with embs[q, x] > y, or ns when there is none."""

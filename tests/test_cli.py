@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import treeconn as tc
 from treeconn.cli import export_dot, main
 
@@ -114,6 +116,36 @@ def test_usage_errors_exit_3(capsys):
     for argv in (["--help"], ["arrow", "--help"]):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out.startswith("usage: treeconn")
+
+
+GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_for({1}))
+
+
+@pytest.mark.parametrize("command, record, field", [
+    ("invariant", {"category": "conn"}, "'source'"),
+    ("invariant", [1], "'category'"),
+    ("invariant", dict(GOOD_RECORD, target={"n": 1}), "'parent'"),
+    ("invariant", dict(GOOD_RECORD, surj=3), "'surj'"),
+    ("invariant", dict(GOOD_RECORD, emb=[[0], 1]), "'emb'"),
+    ("invariant", dict(GOOD_RECORD, domain_top="2"), "'domain_top'"),
+    ("functor", None, "'category'"),
+    ("tree", {"parent": 5}, "'parent'"),
+    ("tree", {"parent": [None, "0"], "n": 2}, "'parent'"),
+    ("forest", {"n": 0}, "'parent'"),
+], ids=["no-source", "not-an-object", "target-without-parent", "surj-not-a-list", "emb-nested",
+        "domain-top-string", "null", "tree-parent-int", "tree-parent-string-entry",
+        "forest-without-parent"])
+def test_malformed_records_exit_3(tmp_path, capsys, command, record, field):
+    # A record of the wrong shape is bad input (3), not a failed check (1).
+    path = tmp_path / "rec.json"
+    path.write_text(json.dumps(record))
+    argv = {"invariant": ["invariant", json.dumps(record)],
+            "functor": ["functor", "strong", json.dumps(record)],
+            "tree": ["enum", "emb", "chain1", str(path), "--count"],
+            "forest": ["construct", "add-root", str(path)]}[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and field in err
 
 
 def test_export_dot_round_trip(capsys):

@@ -146,7 +146,7 @@ def test_row_keys_follow_lexicographic_row_order():
 
 
 def test_large_embedding_set_grows_buffer():
-    # More results than the first-pass buffer holds triggers the exact retry.
+    # More rows than one block of the embedding frontier holds.
     roomy = tc.Budget(max_vertices=64, max_hom=20_000)
     hom = tc.enumerate_increasing_injections(C3, tc.chain(40), roomy)
     assert len(hom) == 9880  # C(40, 3)

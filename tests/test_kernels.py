@@ -1,9 +1,9 @@
-"""The loop kernels (embedding search, the two coloring searches and the
-unused pair_filter) must agree with the brute-force oracles in conftest and,
-compiled, exactly with their interpreted fallbacks.  The numpy kernels (pair
-caps, the mixed-radix expansion behind connection_rows, rigid_count and
+"""The loop kernels (the two coloring searches and the unused pair_filter)
+must agree with the brute-force oracles in conftest and, compiled, exactly
+with their interpreted fallbacks.  The numpy kernels (the embedding frontier,
+pair caps, the mixed-radix expansion behind connection_rows, rigid_count and
 rigid_fill, the doubling sweep) and the pruned searches must agree with the
-loop references in conftest."""
+loop references in conftest, and must check max_hom before they allocate."""
 
 import importlib.util
 import itertools
@@ -22,8 +22,11 @@ from treeconn import kernels, search
 from treeconn.errors import BudgetExceededError
 from treeconn.homsets import _emb_rows, _leq_matrix, _min_table, _rigid_rows
 from conftest import (dfs_bad_coloring_loop, dfs_degree_loop, doubling_pair_sweep_loop,
-                      emb_oracle, incinj_oracle, pair_caps_loop, rigid_count_loop,
-                      rigid_fill_loop, rigid_oracle, small_trees)
+                      emb_oracle, embedding_search_loop, incinj_oracle, pair_caps_loop,
+                      rigid_count_loop, rigid_fill_loop, rigid_oracle, small_trees)
+
+
+CHERRY = tc.parse_tree("(()())")
 
 
 def both(kernel, *args):
@@ -36,16 +39,78 @@ def both(kernel, *args):
 KERNEL_TREES = small_trees(4)
 
 
-def test_embedding_search_backends_agree():
-    # Meet tables with the root pinned give tree embeddings; min tables
-    # without it give increasing injections.
+def _embedding_search_matches_loop(S, T, tables):
+    count, rows = kernels.embedding_search(*tables, 10**6)
+    want_count, want = embedding_search_loop(*tables, 10**6)
+    assert count == want_count and rows.shape == (count, S.n), (S, T, tables[2])
+    assert np.array_equal(rows, want[:count]), (S, T, tables[2])
+
+
+def test_embedding_search_backends_agree(monkeypatch):
+    # The frontier against the backtracking loop it replaced.  Meet tables
+    # with the root pinned give tree embeddings; min tables without it give
+    # increasing injections.  Every pair of trees up to 6 vertices, then
+    # tree embeddings into doubling^2 of every tree up to 4 vertices (up to
+    # 22 vertices), at the default and at 1-cell blocks.
     for S, T in itertools.product(KERNEL_TREES, repeat=2):
-        for pin, tables, oracle in ((True, (S.meet_table, T.meet_table), emb_oracle),
-                                    (False, (_min_table(S.n), _min_table(T.n)), incinj_oracle)):
-            (c1, o1), (c2, o2) = both(kernels.embedding_search, *tables, pin, 64)
-            assert c1 == c2
-            assert np.array_equal(o1[:c1], o2[:c2])
-            assert o1[:c1].tolist() == [list(v) for v in oracle(S, T)], (S, T, pin)
+        assert _emb_rows(S, T, tc.DEFAULT_BUDGET).tolist() == [list(v) for v in emb_oracle(S, T)]
+        assert (_emb_rows(S, T, tc.DEFAULT_BUDGET, linear=True).tolist()
+                == [list(v) for v in incinj_oracle(S, T)])
+    for S, T in itertools.product(small_trees(6), repeat=2):
+        _embedding_search_matches_loop(S, T, (S.meet_table, T.meet_table, True))
+        _embedding_search_matches_loop(S, T, (_min_table(S.n), _min_table(T.n), False))
+    for block_cells in (kernels._BLOCK_CELLS, 1):
+        monkeypatch.setattr(kernels, "_BLOCK_CELLS", block_cells)
+        for S in KERNEL_TREES:
+            d1 = tc.doubling_tree(S).tree
+            d2 = tc.doubling_tree(d1).tree
+            for small in (S, d1):
+                _embedding_search_matches_loop(small, d2, (small.meet_table, d2.meet_table, True))
+    # A frontier that dies at a middle level: no two vertices below a chain
+    # vertex meet at the root.  The result still has one column per vertex.
+    count, rows = kernels.embedding_search(CHERRY.meet_table, tc.chain(5).meet_table, True, 100)
+    assert count == 0 and rows.shape == (0, 3)
+
+
+def test_embedding_levels_check_max_hom_before_they_are_allocated():
+    # Increasing injections chain4 -> chain200: level 1 holds C(198, 2) =
+    # 19,503 prefixes.  Level 2 would hold C(199, 3) = 1,293,699 (31 MB), the
+    # final level C(200, 4) (2 GB); the search stops before either exists.
+    budget = tc.Budget(max_vertices=200, max_hom=20_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError,
+                           match="1293699 prefix embeddings exceed budget max_hom=20000") as exc:
+            _emb_rows(tc.chain(4), tc.chain(200), budget, linear=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.kind == "max_hom"
+    assert peak < 4 << 20
+
+
+def test_a_prefix_level_over_max_hom_raises_although_the_hom_set_fits():
+    # ((()())) has one embedding into ((((()())))), but its first three
+    # vertices have 6 images: max_hom bounds the rows of every level.
+    S, T = tc.parse_tree("((()()))"), tc.parse_tree("((((()()))))")
+    assert len(tc.enumerate_embeddings(S, T, tc.Budget(max_hom=6))) == 1
+    with pytest.raises(BudgetExceededError, match="6 prefix embeddings exceed") as exc:
+        tc.enumerate_embeddings(S, T, tc.Budget(max_hom=5))
+    assert exc.value.kind == "max_hom"
+
+
+def test_emb_rows_searches_once(monkeypatch):
+    calls = []
+    search_once = kernels.embedding_search
+
+    def counted(*args):
+        calls.append(args[3])
+        return search_once(*args)
+
+    monkeypatch.setattr(kernels, "embedding_search", counted)
+    rows = _emb_rows(C3, tc.chain(40), tc.Budget(max_vertices=40, max_hom=20_000), linear=True)
+    assert len(rows) == 9880  # C(40, 3)
+    assert calls == [20_000]
 
 
 def _rigid_matches_loop_reference(skels, dom, caps):
