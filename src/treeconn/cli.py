@@ -116,12 +116,20 @@ def export_dot(t: OrderedTree, labels: dict[int, str] | None = None) -> str:
 
 def _labels_from_table(path: str) -> dict[int, str]:
     rec = json.loads(Path(path).read_text())
+    if not isinstance(rec, dict):
+        raise ValueError("--labels table must be a JSON object")
     labels: dict[int, str] = {}
-    for v, idx in enumerate(rec.get("vertex_map", [])):
-        labels[idx] = str(v)
-    for b, b1, b2 in rec.get("doubles", []):
-        labels[b1] = f"{b}.1"
-        labels[b2] = f"{b}.2"
+    try:
+        for v, idx in enumerate(rec.get("vertex_map", [])):
+            labels[idx] = str(v)
+    except TypeError:
+        raise ValueError("labels field 'vertex_map' must be a list of vertices") from None
+    try:
+        for b, b1, b2 in rec.get("doubles", []):
+            labels[b1] = f"{b}.1"
+            labels[b2] = f"{b}.2"
+    except (TypeError, ValueError):
+        raise ValueError("labels field 'doubles' must be a list of [base, first, second]") from None
     return labels
 
 
@@ -131,6 +139,8 @@ def _config_from_args(args) -> RunConfig:
     names neither a Budget field nor ``mode`` is an error, not a silently
     ignored limit."""
     keys = json.loads(Path(args.config).read_text()) if args.config else {}
+    if not isinstance(keys, dict):
+        raise ValueError("--config file must hold a JSON object")
     file_mode = keys.pop("mode", None)
     names = [f.name for f in fields(Budget)]
     unknown = sorted(set(keys) - set(names))

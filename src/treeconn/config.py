@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 
 @dataclass(frozen=True)
@@ -17,14 +18,20 @@ class Budget:
     max_vertices: int = 24          # largest tree accepted by Hom enumeration
     max_hom: int = 200_000          # most rows held: a Hom-set, or any embedding-search level
     max_nodes: int = 20_000_000     # coloring-search assignment budget
-    time_cap: float | None = None   # seconds, checked between search chunks
+    time_cap: float | None = None   # seconds from the start of a check
 
     def __post_init__(self):
         for name in ("max_tree_size", "max_vertices", "max_hom", "max_nodes"):
-            if getattr(self, name) <= 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer")
+            if value <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.time_cap is not None and self.time_cap <= 0:
-            raise ValueError("time_cap must be positive")
+        if self.time_cap is not None:
+            if isinstance(self.time_cap, bool) or not isinstance(self.time_cap, Real):
+                raise ValueError("time_cap must be a number")
+            if not self.time_cap > 0:
+                raise ValueError("time_cap must be positive")
 
 
 DEFAULT_BUDGET = Budget()

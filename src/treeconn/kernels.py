@@ -349,8 +349,8 @@ def embedding_search(meet_s, meet_t, pin_root, max_out):
     by every c above its last value that leaves room for the images still
     to place and has meet_t[img[d - 1], c] == img[meet_s[d - 1, d]]; the
     other y < d follow, since in preorder y < x < z makes meet(y, z) the
-    higher of meet(y, x) and meet(x, z).  np.nonzero order keeps the rows
-    lexicographic.
+    lower (nearer the root) of meet(y, x) and meet(x, z).  np.nonzero
+    order keeps the rows lexicographic.
 
     Returns (count, rows).  A level of more than max_out rows stops the
     search before it is allocated, with count its size and rows None; tree

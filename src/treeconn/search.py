@@ -141,16 +141,16 @@ def _order(mode: str, istart: np.ndarray, n_items: int) -> np.ndarray:
     return np.arange(n_items, dtype=np.int64)
 
 
-def _run_chunks(kernel_call, state, budget: Budget):
+def _run_chunks(kernel_call, state, budget: Budget, t0: float):
     """Drive a resumable kernel under the node and wall-clock budgets.
 
-    Under a time cap each chunk is sized from the node rate seen so far to
-    last about _CHUNK_SECONDS, so the clock is read often enough to stop
-    close to the cap.  Without a cap the chunks are a fixed node count, so
-    the sequence of kernel calls, which a tracer counts, does not depend on
-    the speed of the machine.
+    The time cap counts from ``t0``, the ``time.monotonic()`` reading taken
+    before the copy family was enumerated.  Under a time cap each chunk is
+    sized from the node rate seen so far to last about _CHUNK_SECONDS, so
+    the clock is read often enough to stop close to the cap.  Without a cap
+    the chunks are a fixed node count, so the sequence of kernel calls,
+    which a tracer counts, does not depend on the speed of the machine.
     """
-    t0 = time.monotonic()
     chunk = _CHUNK if budget.time_cap is None else _FIRST_TIMED_CHUNK
     while True:
         status = kernel_call(min(budget.max_nodes, int(state[1]) + chunk))
@@ -179,11 +179,12 @@ def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     """
     if r < 1:
         raise ValueError("need at least one color")
+    t0 = time.monotonic()
     try:
         fam = copy_family(S, T, V, category, budget)
     except BudgetExceededError:
         return ArrowCertificate("unknown", r, None, None, 0)
-    status, coloring, explored = _search_bad_coloring(fam, r, budget, mode)
+    status, coloring, explored = _search_bad_coloring(fam, r, budget, mode, t0)
     if status == kernels.FOUND:
         _verify_bad_coloring(fam, coloring, r)
         return ArrowCertificate("fails", r, None, coloring, explored)
@@ -207,7 +208,7 @@ def _search_arrays(fam: CopyFamily, mode: str):
     )
 
 
-def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str):
+def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float):
     """Run the arrow DFS over fam; returns (status, coloring or None, explored)."""
     csr, (col, nxt, maxu), undo = _search_arrays(fam, mode)
     cstart, citems, clen = csr[:3]
@@ -228,7 +229,7 @@ def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str):
             forbid, nforb, fbuf, flen,
         )
 
-    status = _run_chunks(call, state, budget)
+    status = _run_chunks(call, state, budget, t0)
     coloring = tuple(int(c) for c in col) if status == kernels.FOUND else None
     return status, coloring, int(state[1])
 
@@ -256,11 +257,12 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     """
     if r < 1:
         raise ValueError("need at least one color")
+    t0 = time.monotonic()
     try:
         fam = copy_family(S, T, V, category, budget)
     except BudgetExceededError:
         return None, ArrowCertificate("unknown", r, None, None, 0)
-    status, k, witness, explored = _search_degree(fam, r, budget, mode)
+    status, k, witness, explored = _search_degree(fam, r, budget, mode, t0)
     if status != kernels.EXHAUSTED:
         return None, ArrowCertificate("unknown", r, None, None, explored)
     _verify_degree_witness(fam, witness, r, k)
@@ -269,7 +271,7 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     return k, ArrowCertificate("degree_at_most_k", r, k, witness, explored)
 
 
-def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str):
+def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float):
     """Run the degree branch-and-bound over fam; returns (status, k,
     witness, explored), k and witness being meaningful once EXHAUSTED."""
     n = fam.n_items
@@ -296,7 +298,7 @@ def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str):
             state, best_col, limit, hist,
         )
 
-    status = _run_chunks(call, state, budget)
+    status = _run_chunks(call, state, budget, t0)
     witness = tuple(int(c) for c in best_col)
     return status, int(state[2]), witness, int(state[1])
 

@@ -66,19 +66,6 @@ class _ParentStructure:
                 kids[p].append(v)
         return tuple(tuple(k) for k in kids)
 
-    @cached_property
-    def parent_array(self) -> np.ndarray:
-        arr = np.array(self.parent, dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def depth(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for v, p in enumerate(self.parent):
-            d[v] = 0 if p == ROOT else d[p] + 1
-        return tuple(d)
-
     def num_children(self, v: int) -> int:
         return len(self.children[v])
 
@@ -118,29 +105,36 @@ class OrderedTree(_ParentStructure):
 
     @cached_property
     def anc(self) -> np.ndarray:
-        """Boolean matrix: anc[u, v] iff u is an ancestor-or-self of v."""
+        """Boolean matrix: anc[u, v] iff u is an ancestor-or-self of v.
+
+        In preorder a parent precedes its child, so the parent's column is
+        final when the child's is filled: the child's strict ancestors are
+        exactly the parent's ancestors-or-self.
+        """
         n = self.n
         m = np.zeros((n, n), dtype=np.bool_)
-        for v in range(n):
-            w = v
-            while w != ROOT:
-                m[w, v] = True
-                w = self.parent[w]
+        for v, p in enumerate(self.parent):
+            if p != ROOT:
+                m[:v, v] = m[:v, p]
+            m[v, v] = True
         m.setflags(write=False)
         return m
 
     @cached_property
     def meet_table(self) -> np.ndarray:
-        """meet_table[u, v] is the deepest common ancestor of u and v."""
+        """meet_table[u, v] is the deepest common ancestor of u and v.
+
+        Filled by rows (the table is symmetric), parents first as preorder
+        lists them: v meets its descendants at v and every other vertex
+        where its parent does.
+        """
         n = self.n
         anc = self.anc
         tab = np.zeros((n, n), dtype=np.int64)
-        for u in range(n):
-            for v in range(u, n):
-                common = np.flatnonzero(anc[:, u] & anc[:, v])
-                w = int(common[-1])
-                tab[u, v] = w
-                tab[v, u] = w
+        for v, p in enumerate(self.parent):
+            if p != ROOT:
+                tab[v] = tab[p]
+            tab[v, anc[v]] = v
         tab.setflags(write=False)
         return tab
 

@@ -156,6 +156,100 @@ def trees_up_to_5():
     return small_trees(5)
 
 
+def anc_loop(t):
+    """Loop reference for ``OrderedTree.anc``: walk each vertex's parent
+    chain."""
+    n = t.n
+    m = np.zeros((n, n), dtype=np.bool_)
+    for v in range(n):
+        w = v
+        while w != ROOT:
+            m[w, v] = True
+            w = t.parent[w]
+    m.setflags(write=False)
+    return m
+
+
+def meet_table_loop(t):
+    """Loop reference for ``OrderedTree.meet_table``: the last common
+    ancestor of every pair, read from the ancestor matrix."""
+    n = t.n
+    anc = anc_loop(t)
+    tab = np.zeros((n, n), dtype=np.int64)
+    for u in range(n):
+        for v in range(u, n):
+            common = np.flatnonzero(anc[:, u] & anc[:, v])
+            w = int(common[-1])
+            tab[u, v] = w
+            tab[v, u] = w
+    tab.setflags(write=False)
+    return tab
+
+
+def is_embedding_loop(f):
+    """Loop reference for ``morphisms.is_embedding``: the meets of all pairs.
+    It reads the trees' tables, which are checked against the loops above."""
+    if not f.is_total:
+        raise tc.InvalidMorphismError("embedding check needs a total map")
+    vals = f.values
+    if vals[0] != 0:
+        return False
+    for x in range(1, len(vals)):
+        if vals[x] <= vals[x - 1]:
+            return False
+    ms = f.source.meet_table
+    mt = f.target.meet_table
+    n = len(vals)
+    for x in range(n):
+        for y in range(x + 1, n):
+            if mt[vals[x], vals[y]] != vals[ms[x, y]]:
+                return False
+    return True
+
+
+def induced_embedding_loop(s):
+    """Loop reference for ``morphisms.induced_embedding``: the meet of every
+    preimage, then both adjoint laws."""
+    ns = s.target.n
+    pre: list[list[int]] = [[] for _ in range(ns)]
+    for y in range(s.effective_n):
+        pre[s.values[y]].append(y)
+    if any(not p for p in pre):
+        raise tc.InvalidMorphismError("induced embedding needs a surjective map")
+    meet = s.source.meet_table
+    vals = []
+    for x in range(ns):
+        m = pre[x][0]
+        for y in pre[x][1:]:
+            m = int(meet[m, y])
+        vals.append(m)
+    cand = tc.TreeMap(s.target, s.source, tuple(vals))
+    if not is_embedding_loop(cand):
+        return None
+    anc = s.source.anc
+    for x in range(ns):
+        if s.values[vals[x]] != x:
+            return None
+    for y in range(s.effective_n):
+        if not anc[vals[s.values[y]], y]:
+            return None
+    return cand
+
+
+def condition_a_loop(s, i):
+    """Loop reference for ``morphisms.condition_a``: scan everything below
+    each i(x)."""
+    top = s.top
+    for x in range(i.effective_n):
+        ix = i.values[x]
+        if ix > top or s.values[ix] != x:
+            return False
+        for y in range(ix):
+            if s.values[y] > x:
+                return False
+    return True
+
+
 def embedding_search_loop(meet_s, meet_t, pin_root, max_out):
     """Loop reference for ``kernels.embedding_search``: the same injections
     by backtracking.  Candidates are scanned in ascending order, so rows

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -132,9 +134,18 @@ GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_f
     ("tree", {"parent": 5}, "'parent'"),
     ("tree", {"parent": [None, "0"], "n": 2}, "'parent'"),
     ("forest", {"n": 0}, "'parent'"),
+    ("config", [1], "--config"),
+    ("config", {"max_hom": "5"}, "max_hom"),
+    ("config", {"max_nodes": True}, "max_nodes"),
+    ("config", {"time_cap": "1"}, "time_cap"),
+    ("labels", [1], "--labels"),
+    ("labels", {"vertex_map": 5}, "'vertex_map'"),
+    ("labels", {"doubles": [5]}, "'doubles'"),
 ], ids=["no-source", "not-an-object", "target-without-parent", "surj-not-a-list", "emb-nested",
         "domain-top-string", "null", "tree-parent-int", "tree-parent-string-entry",
-        "forest-without-parent"])
+        "forest-without-parent", "config-not-an-object", "config-limit-string",
+        "config-limit-bool", "config-time-cap-string", "labels-not-an-object",
+        "labels-vertex-map-int", "labels-doubles-int"])
 def test_malformed_records_exit_3(tmp_path, capsys, command, record, field):
     # A record of the wrong shape is bad input (3), not a failed check (1).
     path = tmp_path / "rec.json"
@@ -142,7 +153,9 @@ def test_malformed_records_exit_3(tmp_path, capsys, command, record, field):
     argv = {"invariant": ["invariant", json.dumps(record)],
             "functor": ["functor", "strong", json.dumps(record)],
             "tree": ["enum", "emb", "chain1", str(path), "--count"],
-            "forest": ["construct", "add-root", str(path)]}[command]
+            "forest": ["construct", "add-root", str(path)],
+            "config": ["--config", str(path), "enum", "emb", "chain2", "chain3", "--count"],
+            "labels": ["export", "(())", "--dot", "--labels", str(path)]}[command]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and field in err
@@ -217,6 +230,32 @@ def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--config", str(cfg), "--mode", "canonical",
                            "enum", "conn", "chain2", "chain3", "--count")
     assert code == 2  # the limit the file sets applies
+
+
+def _readme_commands():
+    """(argv, comment) for each ``treeconn`` line of the README's CLI block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [(shlex.split(line, comments=True)[1:], line.partition(" # ")[2].strip())
+            for line in block.splitlines() if line.startswith("treeconn ")]
+
+
+def test_readme_cli_examples_hold(tmp_path, monkeypatch, capsys):
+    # Each README example runs without an input error, and what its comment
+    # states holds: an exit code ("exit 1") or the whole output ("2").
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "doubling", "chain2", "--out", "table.json"]) == 0
+    capsys.readouterr()
+    commands = _readme_commands()
+    assert len(commands) >= 10
+    for argv, comment in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code != 3, argv
+        stated = re.match(r"exit (\d)", comment)
+        if stated:
+            assert code == int(stated.group(1)), argv
+        elif comment and " " not in comment:
+            assert (code, out) == (0, comment + "\n"), argv
 
 
 def test_console_entry_point():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 
@@ -6,11 +7,13 @@ import pytest
 
 import treeconn as tc
 from treeconn.errors import BudgetExceededError, InvalidMorphismError
-from treeconn.homsets import CONN_FAILURES, _row_keys, conn_disagreements, conn_row_failures
+from treeconn.homsets import (CONN_FAILURES, _embedding_mask, _row_keys, conn_disagreements,
+                              conn_row_failures)
 from conftest import (
     conn_oracle,
     emb_oracle,
     incinj_oracle,
+    is_embedding_loop,
     linear_conn_oracle,
     psc_oracle,
     rigid_oracle,
@@ -180,10 +183,16 @@ def _raw_rows(S, V):
     return np.concatenate((np.repeat(surj, len(emb), axis=0), np.tile(emb, (len(surj), 1))), axis=1)
 
 
+@functools.cache
+def _tree_map(frm, to, values):
+    """One TreeMap per distinct half: raw rows repeat each half many times."""
+    return tc.TreeMap(frm, to, values)
+
+
 def _validate_row(S, V, row):
     """(validate_connection's message or None, disagreements with the
     induced embedding or None) for one CONN row."""
-    s, i = tc.TreeMap(V, S, row[:V.n]), tc.TreeMap(S, V, row[V.n:])
+    s, i = _tree_map(V, S, tuple(row[:V.n])), _tree_map(S, V, tuple(row[V.n:]))
     try:
         tc.validate_connection(tc.Connection(tc.CONN, s, i))
     except InvalidMorphismError as exc:
@@ -205,14 +214,20 @@ def _assert_rows_match_validation(S, V, rows):
 
 
 def test_conn_row_check_matches_validate_connection_on_raw_rows():
-    # Every raw row, |S| <= 3 with |V| <= 4 and |S| <= 2 with |V| = 5.
-    pairs = [(S, V) for S in tc.all_trees_up_to(3) for V in tc.all_trees_up_to(4)]
-    pairs += [(S, V) for S in tc.all_trees_up_to(2) for V in tc.all_trees_up_to(5) if V.n == 5]
+    # Every raw row with |S| <= 3 and |V| <= 5.
     seen = set()
-    for S, V in pairs:
+    for S, V in itertools.product(tc.all_trees_up_to(3), tc.all_trees_up_to(5)):
         seen |= _assert_rows_match_validation(S, V, _raw_rows(S, V))
     # Every outcome occurs: valid, and each of the three failures.
     assert seen == {-1, 0, 1, 2}
+
+
+def test_embedding_mask_matches_loop_reference():
+    # Every raw map S -> V with |S| <= 3 and |V| <= 5.
+    for S, V in itertools.product(tc.all_trees_up_to(3), tc.all_trees_up_to(5)):
+        e = np.array(list(itertools.product(range(V.n), repeat=S.n)))
+        want = [is_embedding_loop(tc.TreeMap(S, V, row)) for row in e.tolist()]
+        assert _embedding_mask(S, V, e).tolist() == want, (S, V)
 
 
 def test_conn_disagreements_on_enumerated_connections(trees_up_to_5):

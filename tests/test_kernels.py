@@ -10,6 +10,7 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import tracemalloc
@@ -290,7 +291,8 @@ def test_dfs_bad_coloring_matches_loop_reference(mode):
     pruned = 0
     for S, T, V, r, cat in ARROW_CASES:
         fam = tc.copy_family(S, T, V, cat)
-        status, coloring, explored = search._search_bad_coloring(fam, r, tc.DEFAULT_BUDGET, mode)
+        status, coloring, explored = search._search_bad_coloring(
+            fam, r, tc.DEFAULT_BUDGET, mode, time.monotonic())
         want_status, want_coloring, want_explored = _bad_coloring_reference(fam, r, mode)
         assert (status, coloring) == (want_status, want_coloring), (V, r, cat)
         assert explored <= want_explored, (V, r, cat)
@@ -310,7 +312,7 @@ def test_dfs_degree_matches_loop_reference(mode):
     # The incremental bound equals the rescanned one, so the search is the same.
     for S, T, V, r, cat in DEGREE_CASES:
         fam = tc.copy_family(S, T, V, cat)
-        got = search._search_degree(fam, r, tc.DEFAULT_BUDGET, mode)
+        got = search._search_degree(fam, r, tc.DEFAULT_BUDGET, mode, time.monotonic())
         assert got == _degree_reference(fam, r, mode), (V, r, cat)
 
 

@@ -1,9 +1,20 @@
+import itertools
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
 import treeconn as tc
 from treeconn.errors import InvalidMorphismError
-from conftest import canonical_trees, cond_a_oracle, emb_oracle, galois_ok, rigid_oracle
+from conftest import (
+    canonical_trees,
+    cond_a_oracle,
+    condition_a_loop,
+    emb_oracle,
+    galois_ok,
+    induced_embedding_loop,
+    is_embedding_loop,
+    rigid_oracle,
+)
 
 C2, C3, C4 = tc.chain(2), tc.chain(3), tc.chain(4)
 
@@ -177,16 +188,59 @@ def test_induced_embedding_of_composite_factors():
 
 
 def test_condition_a_equals_linear_connection():
-    # Both evaluations of the compatibility clause agree on every raw pair.
-    import itertools
+    # Condition (a) reads values only, so chains of every size cover each raw
+    # pair, restricted surjections included.
+    for ns, nt in itertools.product(range(1, 4), range(1, 6)):
+        S, T = tc.chain(ns), tc.chain(nt)
+        embs = [tmap(S, T, e) for e in itertools.product(range(nt), repeat=ns)]
+        for top in range(nt):
+            for svals in itertools.product(range(ns), repeat=top + 1):
+                s = tmap(T, S, svals, top)
+                for i in embs:
+                    want = cond_a_oracle(svals, i.values)
+                    assert condition_a_loop(s, i) == want, (svals, i.values)
+                    assert tc.condition_a(s, i) == want, (svals, i.values)
 
-    for S in tc.all_trees_up_to(3):
-        for T in tc.all_trees_up_to(3):
-            for svals in itertools.product(range(S.n), repeat=T.n):
-                s = tmap(T, S, svals)
-                for evals in itertools.combinations(range(T.n), S.n):
-                    i = tmap(S, T, evals)
-                    assert tc.condition_a(s, i) == cond_a_oracle(svals, evals)
+
+def test_condition_a_implies_the_linear_checks():
+    # validate_connection checks no linear rigidity or monotonicity after
+    # condition (a), because (a) implies both: s is onto with strictly
+    # increasing least preimages, and i is strictly increasing.
+    held = 0
+    for ns, nt in itertools.product(range(1, 4), range(1, 6)):
+        for svals in itertools.product(range(ns), repeat=nt):
+            for evals in itertools.product(range(nt), repeat=ns):
+                if not cond_a_oracle(svals, evals):
+                    continue
+                held += 1
+                assert set(svals) == set(range(ns)), (svals, evals)
+                mins = [svals.index(x) for x in range(ns)]
+                assert all(a < b for a, b in zip(mins, mins[1:])), (svals, evals)
+                assert all(a < b for a, b in zip(evals, evals[1:])), (svals, evals)
+    assert held > 100
+
+
+def _outcome(fn, m):
+    """fn(m) as comparable data: its values, None, or the error message."""
+    try:
+        out = fn(m)
+    except InvalidMorphismError as exc:
+        return str(exc)
+    return None if out is None else out.values
+
+
+def test_predicates_match_loop_references():
+    # Every raw map with |S| <= 3 and |T| <= 5, restricted surjections
+    # included.
+    for S, T in itertools.product(tc.all_trees_up_to(3), tc.all_trees_up_to(5)):
+        for e in itertools.product(range(T.n), repeat=S.n):
+            f = tmap(S, T, e)
+            assert tc.is_embedding(f) == is_embedding_loop(f), (S, T, e)
+        for top in range(T.n):
+            for svals in itertools.product(range(S.n), repeat=top + 1):
+                s = tmap(T, S, svals, top)
+                assert (_outcome(tc.induced_embedding, s)
+                        == _outcome(induced_embedding_loop, s)), (S, T, svals)
 
 
 def test_linear_categories():

@@ -158,7 +158,8 @@ def test_searches_match_naive_oracles_on_random_families(family):
     bad = naive_bad_coloring(fam.copies, fam.n_items, r)
     degree = naive_degree(fam.copies, fam.n_items, r)
     for mode in ("canonical", "fast"):
-        status, coloring, _ = search._search_bad_coloring(fam, r, tc.DEFAULT_BUDGET, mode)
+        status, coloring, _ = search._search_bad_coloring(
+            fam, r, tc.DEFAULT_BUDGET, mode, time.monotonic())
         if bad is None:
             assert status == kernels.EXHAUSTED
         else:
@@ -166,7 +167,8 @@ def test_searches_match_naive_oracles_on_random_families(family):
             search._verify_bad_coloring(fam, coloring, r)
             if mode == "canonical":
                 assert coloring == bad
-        status, k, witness, _ = search._search_degree(fam, r, tc.DEFAULT_BUDGET, mode)
+        status, k, witness, _ = search._search_degree(
+            fam, r, tc.DEFAULT_BUDGET, mode, time.monotonic())
         assert status == kernels.EXHAUSTED
         assert k == degree
         search._verify_degree_witness(fam, witness, r, k)
@@ -202,6 +204,25 @@ def test_arrow_budget_unknown():
     cert = tc.arrow_check(C2, C3, tc.chain(12), 3, tc.INC_INJ, tc.Budget(time_cap=1.0))
     assert cert.verdict == "unknown"
     assert time.perf_counter() - t0 < 3.0
+
+
+def test_time_cap_counts_enumeration(monkeypatch):
+    # The cap counts from before the copy family is built, so a family that
+    # takes longer than the cap leaves only the first, short search chunk.
+    real = search.copy_family
+
+    def slow_copy_family(*args):
+        time.sleep(0.3)
+        return real(*args)
+
+    monkeypatch.setattr(search, "copy_family", slow_copy_family)
+    budget = tc.Budget(time_cap=0.2)
+    cert = tc.arrow_check(C2, C3, tc.chain(12), 3, tc.INC_INJ, budget)
+    assert cert.verdict == "unknown"
+    assert cert.explored <= search._FIRST_TIMED_CHUNK
+    k, cert = tc.degree_at_witness(C2, C3, tc.chain(8), 3, tc.INC_INJ, budget)
+    assert k is None and cert.verdict == "unknown"
+    assert cert.explored <= search._FIRST_TIMED_CHUNK
 
 
 def test_arrow_chain12_two_colors_exhausts():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 import treeconn as tc
 from treeconn.errors import BudgetExceededError, ParseError
 from treeconn.trees import ROOT
-from conftest import canonical_trees
+from conftest import anc_loop, canonical_trees, meet_table_loop
 
 
 def test_parse_basics():
@@ -71,6 +72,37 @@ def test_meet_exhaustive_small():
         for v in range(t.n):
             assert t.meet(0, v) == 0
             assert t.meet(v, v) == v
+
+
+def _same_table(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and not got.flags.writeable and got.tobytes() == want.tobytes())
+
+
+def test_tables_match_loop_references_up_to_9_vertices():
+    for t in tc.all_trees_up_to(9, tc.Budget(max_tree_size=9)):
+        assert _same_table(t.anc, anc_loop(t)), t
+        assert _same_table(t.meet_table, meet_table_loop(t)), t
+
+
+@given(canonical_trees(max_n=40))
+def test_tables_match_loop_references(t):
+    assert _same_table(t.anc, anc_loop(t))
+    assert _same_table(t.meet_table, meet_table_loop(t))
+
+
+def test_meet_table_holds_no_more_than_the_table():
+    # The recurrences hold one n x n table at a time, with no n x n x n
+    # temporary.
+    t = tc.chain(800)
+    tracemalloc.start()
+    try:
+        table = t.meet_table
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.nbytes == 800 * 800 * 8
+    assert peak < 2 * table.nbytes
 
 
 def test_meet_example():
