@@ -169,6 +169,8 @@ def _cmd_enum(args) -> int:
 
 def _cmd_construct(args) -> int:
     kind = args.kind
+    if kind != "add-root" and not args.inputs:
+        raise ValueError(f"construct {kind} needs a tree argument")
     if kind == "doubling":
         result = doubling_tree(load_tree(args.inputs[0]))
         _emit(_dumps(result.to_record()), args.out)

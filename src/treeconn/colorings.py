@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from .errors import InvalidMorphismError
 from .morphisms import (
     CONN,
+    FAILURES,
     PSC,
+    RIGID,
     Connection,
     TreeMap,
     compose,
@@ -54,7 +56,7 @@ def two_coloring(x: int, c: Connection) -> int:
     c.source._check_vertex(x)
     ind = induced_embedding(c.surj)
     if ind is None:
-        raise InvalidMorphismError("surjection half is not a rigid surjection")
+        raise InvalidMorphismError(FAILURES[RIGID][0])
     return 0 if ind.values[x] == c.emb.values[x] else 1
 
 

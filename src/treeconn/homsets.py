@@ -8,8 +8,7 @@ with -1 past its top, which is the embedding's last value (the pair is
 strong).  Rows are in lexicographic order, the canonical order, so a shorter
 psc prefix sorts first; re-running yields identical arrays.
 ``composite_indices`` composes whole Hom-sets on these arrays, and
-``conn_disagreements`` checks CONN rows and gives their disagreement sets
-without building a ``Connection``.
+``morphisms.row_failures`` checks rows without building a ``Connection``.
 
 Embeddings are built level by level, within ``max_hom`` at every level, and
 every other Hom-set is generated from them: a rigid surjection is the unique
@@ -257,71 +256,6 @@ def composite_blocks(hom_st: HomSet, g_rows: np.ndarray,
     step = max(1, kernels._BLOCK_CELLS // max(len(hom_st) * width, 1))
     for lo in range(0, len(g_rows), step):
         yield lo, composite_rows(hom_st, g_rows[lo: lo + step])
-
-
-# validate_connection's messages for a failed CONN row, in its check order.
-CONN_FAILURES = (
-    "pair fails the partial-inverse compatibility",
-    "surjection half is not a rigid surjection",
-    "embedding half is not a tree embedding",
-)
-
-
-def _embedding_mask(S: OrderedTree, V: OrderedTree, e: np.ndarray) -> np.ndarray:
-    """Per row of e (maps S -> V): root-preserving, strictly increasing and
-    meet-preserving, as ``morphisms.is_embedding``, which says why the meets
-    of consecutive vertices suffice."""
-    xs = np.arange(S.n - 1)
-    lo, hi = e[:, :-1], e[:, 1:]
-    return ((e[:, 0] == 0) & (hi > lo).all(axis=1)
-            & (V.meet_table[lo, hi] == e[:, S.meet_table[xs, xs + 1]]).all(axis=1))
-
-
-def conn_row_failures(S: OrderedTree, V: OrderedTree,
-                      rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Check CONN rows s | i of Hom(S, V) as ``validate_connection`` does.
-
-    Returns (failed, diff): failed[k] indexes CONN_FAILURES by the first
-    condition row k fails, or is -1; diff[k, x] is True where i(x) differs
-    from the induced embedding of s (x to the meet of its preimages).  diff
-    is meaningful on rows that pass.
-    """
-    sn, vn = S.n, V.n
-    surj, emb = rows[:, :vn], rows[:, vn:]
-    if ((surj < 0) | (surj >= sn)).any() or ((emb < 0) | (emb >= vn)).any():
-        raise InvalidMorphismError("row value outside its target tree")
-    xs = np.arange(sn)
-    # Condition (a): s(i(x)) = x, and no vertex below i(x) maps above x.
-    cond_a = ((np.take_along_axis(surj, emb, 1) == xs)
-              & (np.take_along_axis(np.maximum.accumulate(surj, axis=1), emb, 1) <= xs)
-              ).all(axis=1)
-    # Condition (a) makes s surjective.  In preorder the subtree of a meet is
-    # an interval, so the meet of x's preimages is that of the least and the
-    # greatest one.
-    hit = surj[:, :, None] == xs
-    first = hit.argmax(axis=1)
-    last = vn - 1 - hit[:, ::-1].argmax(axis=1)
-    ind = V.meet_table[first, last]
-    # The induced embedding must be an embedding adjoint to s.  Of the two
-    # laws only s(ind(x)) = x can fail: ind(s(y)) is a meet of preimages
-    # that include y, so it lies below y.
-    adjoint = (np.take_along_axis(surj, ind, 1) == xs).all(axis=1)
-    failed = np.full(len(rows), -1, dtype=np.int64)
-    failed[~_embedding_mask(S, V, emb)] = 2
-    failed[~(_embedding_mask(S, V, ind) & adjoint)] = 1
-    failed[~cond_a] = 0
-    return failed, emb != ind
-
-
-def conn_disagreements(S: OrderedTree, V: OrderedTree, rows: np.ndarray) -> np.ndarray:
-    """The (len(rows), S.n) boolean disagreement array of CONN rows of
-    Hom(S, V) (see ``conn_row_failures``).  A row that is not a connection
-    raises InvalidMorphismError with validate_connection's message."""
-    failed, diff = conn_row_failures(S, V, rows)
-    bad = np.flatnonzero(failed >= 0)
-    if len(bad):
-        raise InvalidMorphismError(CONN_FAILURES[failed[bad[0]]])
-    return diff
 
 
 def composite_indices(hom_st: HomSet, hom_tv: HomSet, hom_sv: HomSet) -> Iterator[np.ndarray]:

@@ -4,7 +4,8 @@ A morphism here is a ``Connection``: a pair of a surjection part (big tree
 to small tree, possibly restricted to an initial segment) and an embedding
 part (small tree into big tree), tagged with the category it lives in.  The
 injection-only and surjection-only categories reuse the same container with
-the unused half set to ``None``.
+the unused half set to ``None``.  ``row_failures`` checks Hom-set rows by
+``validate_connection``'s rules.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import InvalidMorphismError
 from .trees import OrderedTree, record_field, tree_from_record, tree_to_record
@@ -216,41 +219,92 @@ def condition_a(s: TreeMap, i: TreeMap) -> bool:
                for x, ix in enumerate(i.values))
 
 
+# Each category's conditions in the order they are checked:
+# validate_connection raises the message of the first one a morphism fails,
+# and row_failures indexes them per row.
+FAILURES = {
+    EMB: ("embedding half is not a tree embedding",),
+    INC_INJ: ("embedding half is not strictly increasing",),
+    RIGID: ("surjection half is not a rigid surjection",),
+    CONN_LINEAR: ("pair fails the partial-inverse compatibility",),
+}
+FAILURES[CONN_ROOT] = FAILURES[CONN_LINEAR] + ("embedding does not fix the minimum element",)
+FAILURES[CONN] = FAILURES[CONN_LINEAR] + FAILURES[RIGID] + FAILURES[EMB]
+FAILURES[PSC] = ("embedding leaves the restricted initial segment",
+                 "pair is not strong: embedding misses the top of its initial segment",
+                 *FAILURES[CONN])
+
+
 def validate_connection(c: Connection) -> None:
     """Raise InvalidMorphismError naming the first failed condition."""
-    cat = c.category
-    if cat == EMB:
-        if not is_embedding(c.emb):
-            raise InvalidMorphismError("embedding half is not a tree embedding")
+    cat, messages = c.category, FAILURES[c.category]
+    if cat in (EMB, INC_INJ, RIGID):
+        if not (is_embedding(c.emb) if cat == EMB else is_increasing_injection(c.emb)
+                if cat == INC_INJ else is_rigid_surjection(c.surj)):
+            raise InvalidMorphismError(messages[0])
         return
-    if cat == INC_INJ:
-        if not is_increasing_injection(c.emb):
-            raise InvalidMorphismError("embedding half is not strictly increasing")
-        return
-    if cat == RIGID:
-        if not is_rigid_surjection(c.surj):
-            raise InvalidMorphismError("surjection half is not a rigid surjection")
-        return
-    if cat == PSC:
-        top = c.surj.top
-        if max(c.emb.values) > top:
-            raise InvalidMorphismError("embedding leaves the restricted initial segment")
-        if c.emb.values[-1] != top:
-            raise InvalidMorphismError(
-                "pair is not strong: embedding misses the top of its initial segment"
-            )
+    if cat == PSC and max(c.emb.values) > c.surj.top:
+        raise InvalidMorphismError(messages[0])
+    if cat == PSC and c.emb.values[-1] != c.surj.top:
+        raise InvalidMorphismError(messages[1])
     # Condition (a) makes s onto with strictly increasing least preimages
     # and i strictly increasing, which is all the linear categories ask.
     if not condition_a(c.surj, c.emb):
-        raise InvalidMorphismError("pair fails the partial-inverse compatibility")
+        raise InvalidMorphismError(FAILURES[CONN_LINEAR][0])
     if cat in (CONN, PSC):
         if induced_embedding(c.surj) is None:
-            raise InvalidMorphismError("surjection half is not a rigid surjection")
+            raise InvalidMorphismError(FAILURES[RIGID][0])
         if not is_embedding(c.emb):
-            raise InvalidMorphismError("embedding half is not a tree embedding")
+            raise InvalidMorphismError(FAILURES[EMB][0])
         return
     if cat == CONN_ROOT and c.emb.values[0] != 0:
-        raise InvalidMorphismError("embedding does not fix the minimum element")
+        raise InvalidMorphismError(messages[1])
+
+
+def _embeds(S: OrderedTree, T: OrderedTree, e: np.ndarray) -> np.ndarray:
+    """``is_embedding`` per row of e (maps S -> T)."""
+    lo, hi, xs = e[:, :-1], e[:, 1:], np.arange(S.n - 1)
+    return ((e[:, 0] == 0) & (hi > lo).all(axis=1)
+            & (T.meet_table[lo, hi] == e[:, S.meet_table[xs, xs + 1]]).all(axis=1))
+
+
+def row_failures(category: str, S: OrderedTree, T: OrderedTree, rows: np.ndarray) -> np.ndarray:
+    """Per row of Hom(S, T) (``homsets.HomSet`` layout: a psc surjection
+    ends at the embedding's last value, -1 past it, so the row is strong),
+    the index in FAILURES[category] of the first condition that
+    ``validate_connection`` finds failed, or -1.  A value outside its tree
+    raises InvalidMorphismError."""
+    sn, tn, xs, r = S.n, T.n, np.arange(S.n), np.arange(len(rows))[:, None]
+    surj = None if category in EMB_ONLY else rows[:, :tn]
+    emb = None if category == RIGID else rows[:, -sn:]
+    outside = emb is not None and ((emb < 0) | (emb >= tn)).any()
+    if surj is not None:
+        span = np.arange(tn) <= (emb[:, -1:] if category == PSC else tn - 1)
+        outside |= np.where(span, (surj < 0) | (surj >= sn), surj != -1).any()
+    if outside:
+        raise InvalidMorphismError("row value outside its target tree")
+    fails = []
+    if category == PSC:
+        fails += [(emb > emb[:, -1:]).any(axis=1), False]  # rows are strong
+    if category == INC_INJ:
+        fails.append((emb[:, 1:] <= emb[:, :-1]).any(axis=1))
+    if category in PAIR_CATEGORIES:  # condition (a), as in ``condition_a``
+        prefix_max = np.maximum.accumulate(surj, axis=1)
+        fails.append(~((surj[r, emb] == xs) & (prefix_max[r, emb] == xs)).all(axis=1))
+    if category in (RIGID, CONN, PSC):
+        # As ``is_rigid_surjection``: the meets of each x's first and last
+        # preimages form an embedding adjoint to s (s(ind(x)) = x makes s onto).
+        hit = surj[:, :, None] == xs
+        ind = T.meet_table[hit.argmax(axis=1), tn - 1 - hit[:, ::-1].argmax(axis=1)]
+        fails.append(~(_embeds(S, T, ind) & (surj[r, ind] == xs).all(axis=1)))
+    if category in (EMB, CONN, PSC):
+        fails.append(~_embeds(S, T, emb))
+    if category == CONN_ROOT:
+        fails.append(emb[:, 0] != 0)
+    failed = np.full(len(rows), -1)
+    for code in reversed(range(len(fails))):  # the first failed condition wins
+        failed[fails[code]] = code
+    return failed
 
 
 def is_connection(surj: TreeMap, emb: TreeMap, category: str = CONN) -> bool:

@@ -1,6 +1,6 @@
 """Arrow relations and degrees at a witness, decided by exhaustive search
-with independently re-verified certificates, plus the batch verifications
-built on the doubling construction."""
+over copy-family arrays with independently re-verified certificates, plus
+the batch verifications built on the doubling construction."""
 
 from __future__ import annotations
 
@@ -19,10 +19,10 @@ from .errors import (
     DegenerateInputError,
     InvalidMorphismError,
 )
-from .homsets import (HomSet, _check_sizes, _connections, _emb_rows, composite_blocks,
-                      composite_indices, conn_disagreements, enumerate_connections,
-                      enumerate_hom)
-from .morphisms import CONN, Connection, TreeMap, induced_embedding, validate_connection
+from .homsets import (HomSet, _check_sizes, _connections, _emb_rows, _row_keys,
+                      composite_blocks, composite_indices, enumerate_connections, enumerate_hom)
+from .morphisms import (CONN, FAILURES, Connection, TreeMap, induced_embedding, row_failures,
+                        validate_connection)
 from .trees import OrderedTree
 
 VERDICTS = ("arrows", "fails", "degree_at_most_k", "degree_exceeds_k", "unknown")
@@ -33,20 +33,29 @@ _CHUNK_SECONDS = 0.1  # target chunk length under a time cap
 _MAX_MASK_COLORS = 63  # colors that fit the degree search's int64 bitmasks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CopyFamily:
-    """For each g in Hom(T, V), the image of g composed with Hom(S, T),
-    stored as index sets into the enumerated Hom(S, V)."""
+    """Row g of the read-only ``rows``: the sorted indices in Hom(S, V) of
+    f o g over Hom(S, T), len(hom_st) distinct ones (g's embedding half is
+    injective and its surjection half onto)."""
 
     category: str
     hom_st: HomSet
     hom_tv: HomSet
     hom_sv: HomSet
-    copies: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        self.rows.flags.writeable = False
 
     @property
     def n_items(self) -> int:
         return len(self.hom_sv)
+
+    @property
+    def copies(self) -> tuple[tuple[int, ...], ...]:
+        """The rows as tuples, repeats included."""
+        return tuple(map(tuple, self.rows.tolist()))
 
 
 @dataclass(frozen=True)
@@ -109,27 +118,30 @@ def copy_family(S: OrderedTree, T: OrderedTree, V: OrderedTree, category: str,
     if len(hom_tv) == 0:
         raise DegenerateInputError("Hom(T, V) is empty; no copies exist")
     hom_sv = enumerate_hom(category, S, V, budget)
-    copies = []
-    hit = np.zeros(len(hom_sv), dtype=bool)
-    for block in composite_indices(hom_st, hom_tv, hom_sv):
-        hit[block] = True
-        copies.extend(map(tuple, np.sort(block, axis=1).tolist()))
-    # compose() validates every composite; validate each distinct one once.
-    for i in np.flatnonzero(hit).tolist():
-        validate_connection(hom_sv[i])
-    return CopyFamily(category, hom_st, hom_tv, hom_sv, tuple(copies))
+    rows = np.concatenate([np.sort(block, axis=1)
+                           for block in composite_indices(hom_st, hom_tv, hom_sv)])
+    # compose() validates every composite; check each distinct one once.
+    hit = np.bincount(rows.ravel(), minlength=len(hom_sv)) > 0
+    _raise_first(category, row_failures(category, S, V, hom_sv.rows[hit]))
+    return CopyFamily(category, hom_st, hom_tv, hom_sv, rows)
 
 
-def _csr(copies: list[tuple[int, ...]], n_items: int):
-    """Copy -> items and item -> copies in compressed form.  Each item
-    lists its copies in increasing order (a stable sort of the items)."""
-    clen = np.array([len(cp) for cp in copies], dtype=np.int64)
-    cstart = np.concatenate(([0], np.cumsum(clen)))
-    citems = np.array([it for cp in copies for it in cp], dtype=np.int64)
+def _raise_first(category: str, failed: np.ndarray) -> None:
+    """Raise the message of the first row that ``row_failures`` failed."""
+    if (failed >= 0).any():
+        raise InvalidMorphismError(FAILURES[category][failed[failed >= 0][0]])
+
+
+def _csr(rows: np.ndarray, n_items: int):
+    """Copy -> items and item -> copies in compressed form, copies of one
+    width; each item lists its copies in order (a stable sort of the items)."""
+    m, width = rows.shape
+    citems = rows.ravel()
+    clen = np.full(m, width, dtype=np.int64)
+    cstart = np.arange(m + 1, dtype=np.int64) * width
     degree = np.bincount(citems, minlength=n_items)
     istart = np.concatenate(([0], np.cumsum(degree)))
-    owner = np.repeat(np.arange(len(copies), dtype=np.int64), clen)
-    icopies = owner[np.argsort(citems, kind="stable")]
+    icopies = np.argsort(citems, kind="stable") // width
     maxdeg = int(degree.max(initial=0))
     return cstart, citems, clen, istart, icopies, maxdeg
 
@@ -194,11 +206,12 @@ def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
 
 
 def _search_arrays(fam: CopyFamily, mode: str):
-    """The kernel arguments both searches share: the copy lists in CSR form
-    and the item order, then col, nxt, maxu and the per-depth undo buffer
-    ubuf/ulen, one row per depth as wide as the most copies through an item."""
+    """The kernel arguments both searches share: the distinct copies in CSR
+    form and the item order, then col, nxt, maxu and the per-depth undo
+    buffer ubuf/ulen, one row per depth as wide as the most copies through an item."""
     n = fam.n_items
-    cstart, citems, clen, istart, icopies, maxdeg = _csr(sorted(set(fam.copies)), n)
+    _, first = np.unique(_row_keys(fam.rows), return_index=True)
+    cstart, citems, clen, istart, icopies, maxdeg = _csr(fam.rows[first], n)
     rows, width = max(n, 1), max(maxdeg, 1)
     return (
         (cstart, citems, clen, istart, icopies, _order(mode, istart, n)),
@@ -234,13 +247,16 @@ def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0:
     return status, coloring, int(state[1])
 
 
+def _colors_per_copy(fam: CopyFamily, coloring: tuple[int, ...]) -> np.ndarray:
+    """The number of distinct colors on each copy."""
+    colors = np.sort(np.asarray(coloring, dtype=np.int64)[fam.rows], axis=1)
+    return 1 + (colors[:, 1:] != colors[:, :-1]).sum(axis=1)
+
+
 def _verify_bad_coloring(fam: CopyFamily, coloring: tuple[int, ...], r: int) -> None:
     Coloring(coloring, r)
-    for cp in fam.copies:
-        if len({coloring[i] for i in cp}) < 2:
-            raise InvalidMorphismError(
-                "certificate does not re-verify: monochromatic copy found"
-            )
+    if (_colors_per_copy(fam, coloring) < 2).any():
+        raise InvalidMorphismError("certificate does not re-verify: monochromatic copy found")
 
 
 def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
@@ -305,7 +321,7 @@ def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float
 
 def _verify_degree_witness(fam: CopyFamily, witness: tuple[int, ...], r: int, k: int) -> None:
     Coloring(witness, r)
-    attained = min(len({witness[i] for i in cp}) for cp in fam.copies)
+    attained = int(_colors_per_copy(fam, witness).min())
     if attained != k:
         raise InvalidMorphismError(
             f"degree witness re-verification failed: coloring attains {attained}, claimed {k}"
@@ -345,7 +361,7 @@ def verify_lower_bound(S: OrderedTree, witness: OrderedTree | None = None,
     of the marked set must satisfy powerset_coloring((t, j) o (s, i_B)) = B.
     The direct method composes the witnesses with Hom(T, V) by rows and
     checks and colors every composite in one array pass
-    (``homsets.conn_disagreements``); the factored method sweeps the
+    (``_conn_disagreements``); the factored method sweeps the
     skeleton/embedding pairs that classify Hom(T, V), which checks the same
     universally quantified statement because the coloring of a composite
     depends on the outer surjection only through its induced embedding.
@@ -369,6 +385,19 @@ def verify_lower_bound(S: OrderedTree, witness: OrderedTree | None = None,
     return _verify_lower_bound_factored(dbl, V, rows)
 
 
+def _conn_disagreements(S: OrderedTree, V: OrderedTree, rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), S.n) boolean disagreement sets of CONN rows s | i of
+    Hom(S, V): where i differs from the induced embedding of s.  A row that
+    is not a connection raises with validate_connection's message."""
+    _raise_first(CONN, row_failures(CONN, S, V, rows))
+    surj, emb = rows[:, :V.n], rows[:, V.n:]
+    # A rigid s's induced embedding sends x to its least preimage (a meet
+    # of preimages that is one).  By condition (a) no vertex before the
+    # preimage i(x) maps above x, so i(x) is not the least if one maps to x.
+    prefix_max = np.maximum.accumulate(surj, axis=1)
+    return (emb > 0) & (prefix_max[np.arange(len(rows))[:, None], emb - 1] == np.arange(S.n))
+
+
 def _composite_disagreements(hom_st: HomSet, hom_tv: HomSet) -> Iterator[tuple[int, np.ndarray]]:
     """For blocks of g in CONN ``hom_tv``: (start, array (block, len(hom_st),
     S.n)) of the disagreement sets of every f o g, each composite checked
@@ -376,7 +405,7 @@ def _composite_disagreements(hom_st: HomSet, hom_tv: HomSet) -> Iterator[tuple[i
     S, V = hom_st.source, hom_tv.target
     for lo, block in composite_blocks(hom_st, hom_tv.rows, V.n + S.n):
         try:
-            diff = conn_disagreements(S, V, block.reshape(-1, block.shape[2]))
+            diff = _conn_disagreements(S, V, block.reshape(-1, block.shape[2]))
         except InvalidMorphismError as exc:
             raise InvalidMorphismError(f"composite failed re-validation: {exc}") from exc
         yield lo, diff.reshape(block.shape[0], block.shape[1], S.n)
@@ -439,18 +468,6 @@ def _verify_lower_bound_factored(dbl: DoublingResult, V: OrderedTree,
     return VerificationReport(
         "doubling-coloring-stability", ok, checked, "factored", tuple(details)
     )
-
-
-def count_outer_pairs(dbl: DoublingResult, V: OrderedTree,
-                      budget: Budget = DEFAULT_BUDGET) -> int:
-    """Number of realizable skeleton/embedding pairs behind Hom(T, V);
-    used to cross-check the factored sweep against direct enumeration."""
-    rows = _emb_rows(dbl.tree, V, budget)
-    base = np.empty(0, dtype=np.int64)
-    first = np.empty(0, dtype=np.int64)
-    viol = np.full((1, 2), -1, dtype=np.int64)
-    nfeas, _ = kernels.doubling_pair_sweep(rows, rows, V.anc, base, first, viol)
-    return int(nfeas)
 
 
 def verify_no_ramsey(S: OrderedTree, T: OrderedTree, x: int, s: TreeMap,

@@ -120,6 +120,12 @@ def test_usage_errors_exit_3(capsys):
         assert code == 0 and out.startswith("usage: treeconn")
 
 
+@pytest.mark.parametrize("kind", ["doubling", "plus-leaf", "star", "graft"])
+def test_construct_without_a_tree_names_it(capsys, kind):
+    code, out, err = run_cli(capsys, "construct", kind)
+    assert (code, out, err) == (3, "", f"error: construct {kind} needs a tree argument\n")
+
+
 GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_for({1}))
 
 

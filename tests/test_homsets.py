@@ -7,8 +7,9 @@ import pytest
 
 import treeconn as tc
 from treeconn.errors import BudgetExceededError, InvalidMorphismError
-from treeconn.homsets import (CONN_FAILURES, _embedding_mask, _row_keys, conn_disagreements,
-                              conn_row_failures)
+from treeconn.homsets import HomSet, _row_keys
+from treeconn.morphisms import FAILURES, row_failures
+from treeconn.search import _conn_disagreements
 from conftest import (
     conn_oracle,
     emb_oracle,
@@ -202,11 +203,13 @@ def _validate_row(S, V, row):
 
 
 def _assert_rows_match_validation(S, V, rows):
-    failed, diff = conn_row_failures(S, V, rows)
+    failed = row_failures(tc.CONN, S, V, rows)
+    diff = np.zeros((len(rows), S.n), dtype=bool)
+    diff[failed < 0] = _conn_disagreements(S, V, rows[failed < 0])
     seen = set()
     for row, f, d in zip(rows.tolist(), failed.tolist(), diff.tolist()):
         msg, want = _validate_row(S, V, row)
-        assert (CONN_FAILURES[f] if f >= 0 else None) == msg, (S, V, row)
+        assert (FAILURES[tc.CONN][f] if f >= 0 else None) == msg, (S, V, row)
         if want is not None:
             assert d == want, (S, V, row)
         seen.add(f)
@@ -222,12 +225,67 @@ def test_conn_row_check_matches_validate_connection_on_raw_rows():
     assert seen == {-1, 0, 1, 2}
 
 
+def _raw_category_rows(category, S, V):
+    """Every raw row of Hom(S, V) in the category's layout; a psc
+    surjection is defined up to the embedding's last value, -1 past it."""
+    maps = lambda frm, to: np.array(list(itertools.product(range(to.n), repeat=frm.n)))
+    if category in (tc.EMB, tc.INC_INJ):
+        return maps(S, V)
+    if category == tc.RIGID:
+        return maps(V, S)
+    if category != tc.PSC:
+        return _raw_rows(S, V)
+    parts = []
+    for e in maps(S, V).tolist():
+        top = e[-1]
+        surj = np.array(list(itertools.product(range(S.n), repeat=top + 1))).reshape(-1, top + 1)
+        pad = np.full((len(surj), V.n - 1 - top), -1)
+        parts.append(np.column_stack((surj, pad, np.tile(e, (len(surj), 1)))))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("category", [c for c in tc.CATEGORIES if c != tc.CONN])
+def test_row_failures_match_validate_connection_on_raw_rows(category):
+    # Every raw row with |S| <= 3, and |V| <= 4 for pairs, |V| <= 5 for maps.
+    seen = set()
+    max_v = 5 if category in (tc.EMB, tc.INC_INJ, tc.RIGID) else 4
+    for S, V in itertools.product(tc.all_trees_up_to(3), tc.all_trees_up_to(max_v)):
+        rows = _raw_category_rows(category, S, V)
+        failed = row_failures(category, S, V, rows).tolist()
+        for c, f in zip(HomSet(category, S, V, rows), failed):
+            try:
+                tc.validate_connection(c)
+                msg = None
+            except InvalidMorphismError as exc:
+                msg = str(exc)
+            assert (FAILURES[category][f] if f >= 0 else None) == msg, (S, V, c)
+        seen.update(failed)
+    # Every outcome occurs: valid, and each failure a row can show (a psc
+    # row ends at its embedding's last value, so it never fails
+    # FAILURES[PSC][1], the strong pair check).
+    strong = {1} if category == tc.PSC else set()
+    assert seen == {-1} | set(range(len(FAILURES[category]))) - strong
+
+
+def test_row_failures_reject_values_outside_their_tree():
+    V = tc.doubling_tree(C2).tree
+    bad = {tc.EMB: [0, 4], tc.INC_INJ: [-1, 2], tc.RIGID: [0, 0, 2, 1],
+           tc.CONN: [0, 1, 1, 2, 0, 1],
+           tc.PSC: [[0, 1, 0, -1, 0, 1],  # a value past the top, which is 1
+                    [0, -1, -1, -1, 0, 2]]}  # -1 inside the segment 0..2
+    for category, rows in bad.items():
+        for row in np.atleast_2d(rows):
+            with pytest.raises(InvalidMorphismError, match="outside"):
+                row_failures(category, C2, V, row[None])
+    assert row_failures(tc.PSC, C2, V, np.array([[0, 1, -1, -1, 0, 1]])).tolist() == [-1]
+
+
 def test_embedding_mask_matches_loop_reference():
     # Every raw map S -> V with |S| <= 3 and |V| <= 5.
     for S, V in itertools.product(tc.all_trees_up_to(3), tc.all_trees_up_to(5)):
         e = np.array(list(itertools.product(range(V.n), repeat=S.n)))
         want = [is_embedding_loop(tc.TreeMap(S, V, row)) for row in e.tolist()]
-        assert _embedding_mask(S, V, e).tolist() == want, (S, V)
+        assert (row_failures(tc.EMB, S, V, e) < 0).tolist() == want, (S, V)
 
 
 def test_conn_disagreements_on_enumerated_connections(trees_up_to_5):
@@ -236,17 +294,17 @@ def test_conn_disagreements_on_enumerated_connections(trees_up_to_5):
             hom = tc.enumerate_connections(S, V)
             if len(hom):
                 assert _assert_rows_match_validation(S, V, hom.rows) == {-1}
-                assert np.array_equal(conn_disagreements(S, V, hom.rows),
-                                      conn_row_failures(S, V, hom.rows)[1])
+                assert _conn_disagreements(S, V, hom.rows).tolist() == [
+                    [x in tc.invariant_set(c) for x in range(S.n)] for c in hom]
 
 
 def test_conn_disagreements_raises_on_the_first_invalid_row():
     S, V = C2, tc.doubling_tree(C2).tree
     rows = tc.enumerate_connections(S, V).rows
-    for bad, message in (((0, 0, 0, 0, 0, 1), CONN_FAILURES[0]),  # s(i(1)) = 0
-                         ((0, 0, 0, 1, 1, 3), CONN_FAILURES[2])):  # i(0) is not the root
+    for bad, message in (((0, 0, 0, 0, 0, 1), FAILURES[tc.CONN][0]),  # s(i(1)) = 0
+                         ((0, 0, 0, 1, 1, 3), FAILURES[tc.CONN][2])):  # i(0) is not the root
         mixed = np.concatenate((rows, [bad], rows))
         with pytest.raises(InvalidMorphismError, match=message):
-            conn_disagreements(S, V, mixed)
+            _conn_disagreements(S, V, mixed)
     with pytest.raises(InvalidMorphismError, match="outside"):
-        conn_disagreements(S, V, np.array([[0, 1, 1, 2, 0, 1]]))
+        _conn_disagreements(S, V, np.array([[0, 1, 1, 2, 0, 1]]))

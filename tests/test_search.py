@@ -12,7 +12,8 @@ from treeconn import kernels, search
 from treeconn.errors import DegenerateInputError, InvalidMorphismError
 from treeconn import homsets
 from treeconn.homsets import HomSet, _emb_rows
-from treeconn.search import _csr, count_outer_pairs
+from treeconn.morphisms import FAILURES
+from treeconn.search import _csr
 from conftest import (copy_family_loop, csr_loop, naive_bad_coloring, naive_degree, small_trees,
                       verify_lower_bound_direct_loop, verify_no_ramsey_loop)
 
@@ -29,6 +30,8 @@ def _assert_family_matches_loop(S, T, V, category):
     hom_sv, copies = copy_family_loop(S, T, V, category)
     assert [(h.key(), h.top) for h in fam.hom_sv] == hom_sv
     assert fam.copies == copies
+    # f -> f o g is injective: the loop's deduplicated copies keep every f.
+    assert {len(cp) for cp in copies} == {len(fam.hom_st)}
     return 1
 
 
@@ -69,18 +72,32 @@ def test_copy_family_rejects_a_missing_composite(monkeypatch, category, which):
 
 
 def test_copy_family_validates_each_distinct_composite_once(monkeypatch):
-    validated = []
-    monkeypatch.setattr(search, "validate_connection", lambda c: validated.append(c.key()))
+    calls = []
+    real = search.row_failures
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(search, "row_failures", recorded)
     fam = tc.copy_family(C2, D1, D2, tc.PSC)
-    assert len(validated) == len(set(validated))
-    assert set(validated) == {fam.hom_sv[i].key() for cp in fam.copies for i in cp}
+    hit = sorted({i for cp in fam.copies for i in cp})
+    [(category, S, V, rows)] = calls
+    assert (category, S, V) == (tc.PSC, C2, D2)
+    assert np.array_equal(rows, fam.hom_sv.rows[hit])
+    # The first failing row, in Hom(S, V) order, names the failure.
+    monkeypatch.setattr(search, "row_failures",
+                        lambda cat, S, V, rows: np.resize([-1, 3, 2], len(rows)))
+    with pytest.raises(InvalidMorphismError, match=FAILURES[tc.PSC][3]):
+        tc.copy_family(C2, D1, D2, tc.PSC)
 
 
 def test_csr_matches_loop_reference():
     fam = tc.copy_family(C2, D1, D2, tc.CONN)
-    cases = [(sorted(set(fam.copies)), len(fam.hom_sv)), ([(1, 3), (0, 3), (3,)], 5), ([], 0)]
+    cases = [(sorted(set(fam.copies)), len(fam.hom_sv)), ([(1, 3), (0, 3), (3, 4)], 5),
+             ([(2,), (0,)], 3), (np.empty((0, 2), dtype=np.int64), 0)]
     for copies, n in cases:
-        got = _csr(copies, n)
+        got = _csr(np.asarray(copies, dtype=np.int64), n)
         want = csr_loop(copies, n)
         for a, b in zip(got[:5], want[:5]):
             assert a.dtype == np.int64
@@ -144,11 +161,14 @@ def test_arrow_with_one_and_two_item_copies():
 
 @st.composite
 def copy_families(draw):
+    # Families of one width, as copy_family builds: each copy has
+    # len(Hom(S, T)) distinct items.
     n = draw(st.integers(min_value=1, max_value=8))
+    width = draw(st.integers(min_value=1, max_value=min(4, n)))
     item = st.integers(min_value=0, max_value=n - 1)
-    copy = st.sets(item, min_size=1, max_size=min(4, n)).map(lambda cp: tuple(sorted(cp)))
-    copies = draw(st.lists(copy, min_size=1, max_size=6))
-    return SimpleNamespace(n_items=n, copies=tuple(copies)), draw(st.integers(1, 3))
+    copy = st.sets(item, min_size=width, max_size=width).map(sorted)
+    rows = np.array(draw(st.lists(copy, min_size=1, max_size=6)), dtype=np.int64)
+    return SimpleNamespace(n_items=n, rows=rows, copies=rows.tolist()), draw(st.integers(1, 3))
 
 
 @settings(max_examples=150, deadline=None)
@@ -172,6 +192,18 @@ def test_searches_match_naive_oracles_on_random_families(family):
         assert status == kernels.EXHAUSTED
         assert k == degree
         search._verify_degree_witness(fam, witness, r, k)
+
+
+def test_certificates_reject_a_wrong_coloring():
+    fam = tc.copy_family(C2, C3, tc.chain(5), tc.INC_INJ)
+    cert = tc.arrow_check(C2, C3, tc.chain(5), 2, tc.INC_INJ)
+    search._verify_bad_coloring(fam, cert.coloring, 2)
+    search._verify_degree_witness(fam, cert.coloring, 2, 2)
+    flipped = (1 - cert.coloring[0],) + cert.coloring[1:]
+    with pytest.raises(InvalidMorphismError, match="monochromatic copy"):
+        search._verify_bad_coloring(fam, flipped, 2)
+    with pytest.raises(InvalidMorphismError, match="attains 1, claimed 2"):
+        search._verify_degree_witness(fam, flipped, 2, 2)
 
 
 def test_arrow_fast_mode_still_verifies():
@@ -335,7 +367,7 @@ def test_lower_bound_methods_agree():
         # Hom-set equal the realizable pairs of the factored sweep.
         hom = tc.enumerate_connections(dbl.tree, V)
         pairs = {(tc.induced_embedding(g.surj).values, g.emb.values) for g in hom}
-        assert len(pairs) == count_outer_pairs(dbl, V)
+        assert len(pairs) == factored.checked >> len(dbl.marked)
 
 
 def test_lower_bound_detects_planted_violation():
