@@ -195,14 +195,21 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _emit_certificate(cert, out: str | None) -> int:
+    """Emit the certificate record; an unknown one also names its limit on stderr."""
+    _emit(cert.to_json(), out)
+    if cert.limit is not None:
+        print(f"unknown: {cert.limit}", file=sys.stderr)
+    return cert.exit_code
+
+
 def _cmd_arrow(args) -> int:
     cfg = _config_from_args(args)
     cert = arrow_check(
         load_tree(args.source), load_tree(args.middle), load_tree(args.witness),
         args.r, CAT_FLAGS[args.cat], cfg.budget, cfg.mode,
     )
-    _emit(cert.to_json(), args.out)
-    return cert.exit_code
+    return _emit_certificate(cert, args.out)
 
 
 def _cmd_degree(args) -> int:
@@ -211,8 +218,7 @@ def _cmd_degree(args) -> int:
         load_tree(args.source), load_tree(args.middle), load_tree(args.witness),
         args.r, CAT_FLAGS[args.cat], cfg.budget, cfg.mode, at_most=args.at_most,
     )
-    _emit(cert.to_json(), args.out)
-    return cert.exit_code
+    return _emit_certificate(cert, args.out)
 
 
 def _resolve_witness(which: str, T: OrderedTree) -> OrderedTree:

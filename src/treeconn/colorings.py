@@ -11,17 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidMorphismError
 from .morphisms import (
     CONN,
-    FAILURES,
     PSC,
-    RIGID,
     Connection,
     TreeMap,
     compose,
+    connection_to_row,
     induced_embedding,
     restrict,
+    row_disagreements,
     validate_connection,
 )
 from .trees import OrderedTree, initial_subtree, marked_set
@@ -34,11 +36,9 @@ def invariant_set(c: Connection) -> frozenset[int]:
     set (vertices with two or more immediate successors are pinned); a
     difference outside it means the input was not a valid connection.
     """
-    validate_connection(c)
-    ind = induced_embedding(c.surj)
-    S = c.source
-    diffs = frozenset(x for x in range(S.n) if ind.values[x] != c.emb.values[x])
-    outside = diffs - marked_set(S)
+    [diff] = row_disagreements(c.category, c.source, c.target, connection_to_row(c)[None])
+    diffs = frozenset(np.flatnonzero(diff).tolist())
+    outside = diffs - marked_set(c.source)
     if outside:
         raise InvalidMorphismError(
             f"disagreement at unmarked vertices {sorted(outside)}; connection invalid"
@@ -54,10 +54,7 @@ def powerset_coloring(c: Connection) -> frozenset[int]:
 def two_coloring(x: int, c: Connection) -> int:
     """0 when the embedding agrees with the induced embedding at x, else 1."""
     c.source._check_vertex(x)
-    ind = induced_embedding(c.surj)
-    if ind is None:
-        raise InvalidMorphismError(FAILURES[RIGID][0])
-    return 0 if ind.values[x] == c.emb.values[x] else 1
+    return int(x in invariant_set(c))
 
 
 def to_strong(c: Connection) -> Connection:
@@ -110,8 +107,7 @@ def _prune(hom: Connection) -> tuple[Connection, int]:
         raise InvalidMorphismError("cannot prune a single-vertex source")
     v = S.n - 1
     w = S.n - 2
-    ind = induced_embedding(hom.surj)
-    bit = int(hom.emb.values[v] != ind.values[v])
+    bit = two_coloring(v, hom)
     Sw = initial_subtree(S, w)
     iw = hom.emb.values[w]
     surj = TreeMap(hom.target, Sw, hom.surj.values[: iw + 1], domain_top=iw)
@@ -139,22 +135,13 @@ def lower_top(q: Connection) -> Connection:
     """
     if q.category != PSC:
         raise InvalidMorphismError("lower_top applies to partial strong pairs")
-    validate_connection(q)
     S = q.source
     v = S.n - 1
-    ind = induced_embedding(q.surj)
-    target_top = ind.values[v]
-    if q.emb.values[v] == target_top:
-        raise InvalidMorphismError(
-            "embedding already agrees with the induced embedding at the top"
-        )
-    vals = list(q.emb.values)
-    vals[v] = target_top
-    out = Connection(
-        PSC,
-        restrict(q.surj, target_top),
-        TreeMap(S, q.target, tuple(vals)),
-    )
+    if not two_coloring(v, q):
+        raise InvalidMorphismError("embedding already agrees with the induced embedding at the top")
+    target_top = induced_embedding(q.surj).values[v]
+    vals = q.emb.values[:v] + (target_top,)
+    out = Connection(PSC, restrict(q.surj, target_top), TreeMap(S, q.target, vals))
     validate_connection(out)
     return out
 

@@ -1,14 +1,12 @@
 """Exhaustive, deterministic enumeration of Hom-sets for every category tag.
 
 A ``HomSet`` keeps Hom(S, T) as a read-only int64 array, one row per
-morphism, and builds ``Connection`` objects only on indexing or iteration.
-A row is the embedding S -> T (emb, incinj), the surjection T -> S (rigid),
-or surjection | embedding (the pair categories).  A psc surjection is padded
-with -1 past its top, which is the embedding's last value (the pair is
-strong).  Rows are in lexicographic order, the canonical order, so a shorter
-psc prefix sorts first; re-running yields identical arrays.
-``composite_indices`` composes whole Hom-sets on these arrays, and
-``morphisms.row_failures`` checks rows without building a ``Connection``.
+morphism in the layout of ``morphisms``, and builds ``Connection`` objects
+(``morphisms.connection_from_row``) only on indexing or iteration.  Rows
+are in lexicographic order, the canonical order, so a shorter psc prefix
+sorts first; re-running yields identical arrays.  ``composite_indices``
+composes whole Hom-sets by ``morphisms.composite_rows`` and locates the
+composites in Hom(S, V), all on these arrays.
 
 Embeddings are built level by level, within ``max_hom`` at every level, and
 every other Hom-set is generated from them: a rigid surjection is the unique
@@ -26,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,12 +36,12 @@ from .morphisms import (
     CONN_LINEAR,
     CONN_ROOT,
     EMB,
-    EMB_ONLY,
     INC_INJ,
     PSC,
     RIGID,
     Connection,
-    TreeMap,
+    composite_rows,
+    connection_from_row,
 )
 from .trees import OrderedTree
 
@@ -64,21 +63,11 @@ class HomSet:
         return len(self.rows)
 
     def __iter__(self) -> Iterator[Connection]:
-        return map(self._connection, self.rows.tolist())
+        decode = partial(connection_from_row, self.category, self.source, self.target)
+        return map(decode, self.rows.tolist())
 
     def __getitem__(self, i: int) -> Connection:
-        return self._connection(self.rows[i].tolist())
-
-    def _connection(self, row: list[int]) -> Connection:
-        cat, S, T = self.category, self.source, self.target
-        if cat in EMB_ONLY:
-            return Connection(cat, None, TreeMap(S, T, row))
-        if cat == RIGID:
-            return Connection(cat, TreeMap(T, S, row), None)
-        emb = TreeMap(S, T, row[T.n:])
-        if cat == PSC:
-            return Connection(cat, TreeMap(T, S, row[: row[-1] + 1], domain_top=row[-1]), emb)
-        return Connection(cat, TreeMap(T, S, row[: T.n]), emb)
+        return connection_from_row(self.category, self.source, self.target, self.rows[i].tolist())
 
 
 def _check_sizes(budget: Budget, *trees: OrderedTree) -> None:
@@ -228,34 +217,14 @@ def _row_keys(rows: np.ndarray) -> np.ndarray:
     return data.view(np.dtype((np.void, 8 * data.shape[-1])))[..., 0]
 
 
-def composite_rows(hom_st: HomSet, g_rows: np.ndarray) -> np.ndarray:
-    """Rows in Hom(S, V) of f o g for each g in ``g_rows`` (rows of Hom(T, V))
-    and each f in ``hom_st``, shape (len(g_rows), len(hom_st), width); the
-    rule of ``morphisms.compose``."""
-    cat, f = hom_st.category, hom_st.rows
-    gi, fi = np.arange(len(g_rows))[:, None, None], np.arange(len(f))[:, None]
-    if cat in EMB_ONLY:
-        return g_rows[gi, f]  # g_e[f_e]
-    if cat == RIGID:
-        return f[fi, g_rows[:, None, :]]  # f_s[g_s]
-    tn = hom_st.target.n
-    vn = g_rows.shape[1] - tn
-    h_s = f[fi, g_rows[:, None, :vn]]  # f_s[g_s]
-    h_e = g_rows[gi, vn + f[:, tn:]]  # g_e[f_e]
-    if cat == PSC:
-        # Keep h_s up to the new top g_e[f_top] = h_e[-1].  The -1 padding of
-        # g_s lies past g's top, so past the new top too.
-        h_s[np.arange(vn) > h_e[..., -1:]] = -1
-    return np.concatenate((h_s, h_e), axis=2)
-
-
 def composite_blocks(hom_st: HomSet, g_rows: np.ndarray,
                      width: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(start, composite_rows(hom_st, block)) over blocks of ``g_rows`` of
+    """(start, f o g for f in hom_st and g in block) over blocks of ``g_rows`` of
     about ``kernels._BLOCK_CELLS`` composite cells, ``width`` per row."""
     step = max(1, kernels._BLOCK_CELLS // max(len(hom_st) * width, 1))
     for lo in range(0, len(g_rows), step):
-        yield lo, composite_rows(hom_st, g_rows[lo: lo + step])
+        yield lo, composite_rows(hom_st.category, hom_st.target.n, hom_st.rows,
+                                 g_rows[lo: lo + step])
 
 
 def composite_indices(hom_st: HomSet, hom_tv: HomSet, hom_sv: HomSet) -> Iterator[np.ndarray]:

@@ -4,20 +4,25 @@ A morphism here is a ``Connection``: a pair of a surjection part (big tree
 to small tree, possibly restricted to an initial segment) and an embedding
 part (small tree into big tree), tagged with the category it lives in.  The
 injection-only and surjection-only categories reuse the same container with
-the unused half set to ``None``.  ``row_failures`` checks Hom-set rows by
-``validate_connection``'s rules.
+the unused half set to ``None``.
+
+Each rule is written once, on rows: ``row_failures`` (validity),
+``composite_rows`` (composition) and ``row_disagreements`` (the coloring
+disagreement sets).  A morphism of Hom(S, T) is one int64 row: the
+embedding S -> T (emb, incinj), the surjection T -> S (rigid), or
+surjection | embedding (the pair categories), a psc surjection padded with
+-1 past its top, the embedding's last value (the pair is strong).  The
+single-morphism API applies the rules to ``connection_to_row``'s one row.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidMorphismError
-from .trees import OrderedTree, record_field, tree_from_record, tree_to_record
+from .trees import OrderedTree, record_field, record_index, tree_from_record, tree_to_record
 
 # Category tags.
 CONN = "conn"              # connections between trees
@@ -142,86 +147,11 @@ class Connection:
 
 
 # ---------------------------------------------------------------------------
-# Predicates.
+# The rules, on rows.
 # ---------------------------------------------------------------------------
 
-def is_embedding(f: TreeMap) -> bool:
-    """Root-preserving, strictly increasing, meet-preserving map check.
-
-    Only consecutive vertices are compared: in preorder, y < x < z makes
-    meet(y, z) the lower (nearer the root) of meet(y, x) and meet(x, z), in
-    the source and, as the map is increasing, in the target, so the meets of
-    every other pair follow.
-    """
-    if not f.is_total:
-        raise InvalidMorphismError("embedding check needs a total map")
-    vals = f.values
-    ms = f.source.meet_table
-    mt = f.target.meet_table
-    return vals[0] == 0 and all(
-        a < b and mt[a, b] == vals[ms[x, x + 1]]
-        for x, (a, b) in enumerate(zip(vals, vals[1:]))
-    )
-
-
-def is_increasing_injection(f: TreeMap) -> bool:
-    vals = f.values
-    return all(vals[x] < vals[x + 1] for x in range(len(vals) - 1))
-
-
-def induced_embedding(s: TreeMap) -> TreeMap | None:
-    """The map sending each target vertex to the meet of its preimages.
-
-    Returns the map only when it is an embedding and forms an adjoint pair
-    with s (s(i(x)) = x and i(s(y)) below y); returns None otherwise.
-    Raises when s is not surjective.
-
-    In preorder the subtree of a meet is an interval, so the meet of x's
-    preimages is the meet of the first and the last one.  Of the two laws
-    only s(i(x)) = x can fail: i(s(y)) is a meet of preimages that include
-    y, so it lies below y.
-    """
-    ns = s.target.n
-    first, last = [-1] * ns, [-1] * ns
-    for y, x in enumerate(s.values):
-        if first[x] < 0:
-            first[x] = y
-        last[x] = y
-    if min(first) < 0:
-        raise InvalidMorphismError("induced embedding needs a surjective map")
-    meet = s.source.meet_table
-    cand = TreeMap(s.target, s.source, tuple(meet[a, b] for a, b in zip(first, last)))
-    if not is_embedding(cand) or any(s.values[v] != x for x, v in enumerate(cand.values)):
-        return None
-    return cand
-
-
-def is_rigid_surjection(s: TreeMap) -> bool:
-    """True when s is surjective and its induced embedding closes the pair.
-
-    Only the induced candidate is tested; the adjoint partner of a rigid
-    surjection is unique, and the slow search over all embeddings lives in
-    the test suite as an oracle.
-    """
-    return len(set(s.values)) == s.target.n and induced_embedding(s) is not None
-
-
-def condition_a(s: TreeMap, i: TreeMap) -> bool:
-    """The partial-inverse compatibility: s(i(x)) = x and everything strictly
-    below i(x) maps to x or lower.
-
-    In preorder "strictly below i(x)" is the prefix 0..i(x)-1, so with
-    s(i(x)) = x the second clause says the running maximum of s at i(x) is x.
-    """
-    top = s.top
-    prefix_max = list(itertools.accumulate(s.values, max))
-    return all(ix <= top and s.values[ix] == x == prefix_max[ix]
-               for x, ix in enumerate(i.values))
-
-
-# Each category's conditions in the order they are checked:
-# validate_connection raises the message of the first one a morphism fails,
-# and row_failures indexes them per row.
+# Each category's conditions in the order they are checked: row_failures
+# gives the index of the first one a row fails.
 FAILURES = {
     EMB: ("embedding half is not a tree embedding",),
     INC_INJ: ("embedding half is not strictly increasing",),
@@ -235,46 +165,41 @@ FAILURES[PSC] = ("embedding leaves the restricted initial segment",
                  *FAILURES[CONN])
 
 
-def validate_connection(c: Connection) -> None:
-    """Raise InvalidMorphismError naming the first failed condition."""
-    cat, messages = c.category, FAILURES[c.category]
-    if cat in (EMB, INC_INJ, RIGID):
-        if not (is_embedding(c.emb) if cat == EMB else is_increasing_injection(c.emb)
-                if cat == INC_INJ else is_rigid_surjection(c.surj)):
-            raise InvalidMorphismError(messages[0])
-        return
-    if cat == PSC and max(c.emb.values) > c.surj.top:
-        raise InvalidMorphismError(messages[0])
-    if cat == PSC and c.emb.values[-1] != c.surj.top:
-        raise InvalidMorphismError(messages[1])
-    # Condition (a) makes s onto with strictly increasing least preimages
-    # and i strictly increasing, which is all the linear categories ask.
-    if not condition_a(c.surj, c.emb):
-        raise InvalidMorphismError(FAILURES[CONN_LINEAR][0])
-    if cat in (CONN, PSC):
-        if induced_embedding(c.surj) is None:
-            raise InvalidMorphismError(FAILURES[RIGID][0])
-        if not is_embedding(c.emb):
-            raise InvalidMorphismError(FAILURES[EMB][0])
-        return
-    if cat == CONN_ROOT and c.emb.values[0] != 0:
-        raise InvalidMorphismError(messages[1])
-
-
 def _embeds(S: OrderedTree, T: OrderedTree, e: np.ndarray) -> np.ndarray:
-    """``is_embedding`` per row of e (maps S -> T)."""
+    """Per row of e (maps S -> T): root-preserving, strictly increasing and
+    meet-preserving.  Consecutive vertices suffice: in preorder, y < x < z
+    makes meet(y, z) the lower of meet(y, x) and meet(x, z), in the source
+    and, as the map is increasing, in the target."""
     lo, hi, xs = e[:, :-1], e[:, 1:], np.arange(S.n - 1)
     return ((e[:, 0] == 0) & (hi > lo).all(axis=1)
             & (T.meet_table[lo, hi] == e[:, S.meet_table[xs, xs + 1]]).all(axis=1))
 
 
+def _condition_a(surj: np.ndarray, emb: np.ndarray) -> np.ndarray:
+    """Condition (a) per row: s(i(x)) = x, and the running maximum of s at
+    i(x) is x (0..i(x)-1 lies strictly below i(x)).  It makes s onto with
+    increasing least preimages and i increasing: all the linear ones ask."""
+    r, xs = np.arange(len(surj))[:, None], np.arange(emb.shape[1])
+    prefix_max = np.maximum.accumulate(surj, axis=1)
+    return ((surj[r, emb] == xs) & (prefix_max[r, emb] == xs)).all(axis=1)
+
+
+def _induced_rows(S: OrderedTree, T: OrderedTree, surj: np.ndarray):
+    """(ind, rigid) per row of surj (maps T -> S, -1 past a segment's top):
+    ind(x) is the meet of x's preimages, of the first and last as subtrees
+    are preorder intervals, and rigid says ind is an embedding with
+    s(ind(x)) = x (so s is onto and ind adjoint to it)."""
+    xs = np.arange(S.n)
+    hit = surj[:, :, None] == xs
+    ind = T.meet_table[hit.argmax(axis=1), surj.shape[1] - 1 - hit[:, ::-1].argmax(axis=1)]
+    return ind, _embeds(S, T, ind) & (surj[np.arange(len(surj))[:, None], ind] == xs).all(axis=1)
+
+
 def row_failures(category: str, S: OrderedTree, T: OrderedTree, rows: np.ndarray) -> np.ndarray:
-    """Per row of Hom(S, T) (``homsets.HomSet`` layout: a psc surjection
-    ends at the embedding's last value, -1 past it, so the row is strong),
-    the index in FAILURES[category] of the first condition that
-    ``validate_connection`` finds failed, or -1.  A value outside its tree
-    raises InvalidMorphismError."""
-    sn, tn, xs, r = S.n, T.n, np.arange(S.n), np.arange(len(rows))[:, None]
+    """Per row of Hom(S, T), its first failure's index in FAILURES[category]
+    or -1; a value outside its tree raises.  A psc row ends at its
+    embedding's last value, so it never fails FAILURES[PSC][1] (strong)."""
+    sn, tn = S.n, T.n
     surj = None if category in EMB_ONLY else rows[:, :tn]
     emb = None if category == RIGID else rows[:, -sn:]
     outside = emb is not None and ((emb < 0) | (emb >= tn)).any()
@@ -285,18 +210,13 @@ def row_failures(category: str, S: OrderedTree, T: OrderedTree, rows: np.ndarray
         raise InvalidMorphismError("row value outside its target tree")
     fails = []
     if category == PSC:
-        fails += [(emb > emb[:, -1:]).any(axis=1), False]  # rows are strong
+        fails += [(emb > emb[:, -1:]).any(axis=1), False]
     if category == INC_INJ:
         fails.append((emb[:, 1:] <= emb[:, :-1]).any(axis=1))
-    if category in PAIR_CATEGORIES:  # condition (a), as in ``condition_a``
-        prefix_max = np.maximum.accumulate(surj, axis=1)
-        fails.append(~((surj[r, emb] == xs) & (prefix_max[r, emb] == xs)).all(axis=1))
+    if category in PAIR_CATEGORIES:
+        fails.append(~_condition_a(surj, emb))
     if category in (RIGID, CONN, PSC):
-        # As ``is_rigid_surjection``: the meets of each x's first and last
-        # preimages form an embedding adjoint to s (s(ind(x)) = x makes s onto).
-        hit = surj[:, :, None] == xs
-        ind = T.meet_table[hit.argmax(axis=1), tn - 1 - hit[:, ::-1].argmax(axis=1)]
-        fails.append(~(_embeds(S, T, ind) & (surj[r, ind] == xs).all(axis=1)))
+        fails.append(~_induced_rows(S, T, surj)[1])
     if category in (EMB, CONN, PSC):
         fails.append(~_embeds(S, T, emb))
     if category == CONN_ROOT:
@@ -305,6 +225,117 @@ def row_failures(category: str, S: OrderedTree, T: OrderedTree, rows: np.ndarray
     for code in reversed(range(len(fails))):  # the first failed condition wins
         failed[fails[code]] = code
     return failed
+
+
+def _raise_first(category: str, failed: np.ndarray) -> None:
+    """Raise the message of the first row that ``row_failures`` failed."""
+    if (failed >= 0).any():
+        raise InvalidMorphismError(FAILURES[category][failed[failed >= 0][0]])
+
+
+def composite_rows(category: str, tn: int, f: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
+    """Rows in Hom(S, V) of f o g for each g in ``g_rows`` (rows of
+    Hom(T, V), T of ``tn`` vertices) and each f in ``f`` (rows of
+    Hom(S, T)), shape (len(g_rows), len(f), width)."""
+    gi, fi = np.arange(len(g_rows))[:, None, None], np.arange(len(f))[:, None]
+    if category in EMB_ONLY:
+        return g_rows[gi, f]  # g_e[f_e]
+    if category == RIGID:
+        return f[fi, g_rows[:, None, :]]  # f_s[g_s]
+    vn = g_rows.shape[1] - tn
+    h_s = f[fi, g_rows[:, None, :vn]]  # f_s[g_s]
+    h_e = g_rows[gi, vn + f[:, tn:]]  # g_e[f_e]
+    if category == PSC:
+        # Keep h_s up to the new top g_e[f_top] = h_e[-1].  The -1 padding of
+        # g_s lies past g's top, so past the new top too.
+        h_s[np.arange(vn) > h_e[..., -1:]] = -1
+    return np.concatenate((h_s, h_e), axis=2)
+
+
+def row_disagreements(category: str, S: OrderedTree, V: OrderedTree,
+                      rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), S.n) boolean disagreement sets of conn or psc rows
+    s | i of Hom(S, V): where i differs from the induced embedding of s.
+    Rows that are no morphisms, or another category, raise."""
+    if category not in (CONN, PSC):
+        raise InvalidMorphismError(
+            f"disagreement sets are defined for conn and psc morphisms, not {category}")
+    _raise_first(category, row_failures(category, S, V, rows))
+    surj, emb = rows[:, :V.n], rows[:, V.n:]
+    # A rigid s's induced embedding sends x to its least preimage (a meet
+    # of preimages that is one).  By condition (a) no vertex before the
+    # preimage i(x) maps above x, so i(x) is not the least if one maps to x.
+    prefix_max = np.maximum.accumulate(surj, axis=1)
+    return (emb > 0) & (prefix_max[np.arange(len(rows))[:, None], emb - 1] == np.arange(S.n))
+
+
+def connection_to_row(c: Connection) -> np.ndarray:
+    """c as one row of Hom(c.source, c.target).  A psc pair that is not
+    strong inside its segment has no row and raises its FAILURES[PSC]."""
+    s, e = c.key()
+    if c.category == PSC:
+        if max(e) > c.top:
+            raise InvalidMorphismError(FAILURES[PSC][0])
+        if e[-1] != c.top:
+            raise InvalidMorphismError(FAILURES[PSC][1])
+        s += (-1,) * (c.target.n - len(s))
+    return np.array(s + e, dtype=np.int64)
+
+
+def connection_from_row(category: str, S: OrderedTree, T: OrderedTree,
+                        row: list[int]) -> Connection:
+    """The ``Connection`` of one row (a list) of Hom(S, T)."""
+    if category in EMB_ONLY:
+        return Connection(category, None, TreeMap(S, T, row))
+    if category == RIGID:
+        return Connection(category, TreeMap(T, S, row), None)
+    emb = TreeMap(S, T, row[T.n:])
+    if category == PSC:
+        return Connection(category, TreeMap(T, S, row[: row[-1] + 1], domain_top=row[-1]), emb)
+    return Connection(category, TreeMap(T, S, row[: T.n]), emb)
+
+
+# ---------------------------------------------------------------------------
+# One morphism at a time: each call checks a single row.
+# ---------------------------------------------------------------------------
+
+def is_embedding(f: TreeMap) -> bool:
+    """Root-preserving, strictly increasing, meet-preserving map check."""
+    if not f.is_total:
+        raise InvalidMorphismError("embedding check needs a total map")
+    return bool(_embeds(f.source, f.target, np.array([f.values]))[0])
+
+
+def is_increasing_injection(f: TreeMap) -> bool:
+    return row_failures(INC_INJ, f.source, f.target, np.array([f.values]))[0] < 0
+
+
+def induced_embedding(s: TreeMap) -> TreeMap | None:
+    """The map sending each target vertex to the meet of its preimages, if
+    it is an embedding adjoint to s, else None; raises unless s is onto."""
+    if len(set(s.values)) < s.target.n:
+        raise InvalidMorphismError("induced embedding needs a surjective map")
+    ind, rigid = _induced_rows(s.target, s.source, np.array([s.values]))
+    return TreeMap(s.target, s.source, ind[0].tolist()) if rigid[0] else None
+
+
+def is_rigid_surjection(s: TreeMap) -> bool:
+    """True when s is surjective and its induced embedding closes the pair."""
+    return bool(_induced_rows(s.target, s.source, np.array([s.values]))[1][0])
+
+
+def condition_a(s: TreeMap, i: TreeMap) -> bool:
+    """The partial-inverse compatibility: s(i(x)) = x and everything strictly
+    below i(x) maps to x or lower."""
+    surj = np.full((1, max(i.target.n, s.effective_n)), -1)
+    surj[0, : s.effective_n] = s.values
+    return bool(_condition_a(surj, np.array([i.values]))[0])
+
+
+def validate_connection(c: Connection) -> None:
+    """Raise InvalidMorphismError naming the first failed condition."""
+    _raise_first(c.category, row_failures(c.category, c.source, c.target,
+                                          connection_to_row(c)[None]))
 
 
 def is_connection(surj: TreeMap, emb: TreeMap, category: str = CONN) -> bool:
@@ -332,6 +363,25 @@ def is_strong(c: Connection) -> bool:
     return c.emb.values[-1] == c.top
 
 
+def compose(f: Connection, g: Connection) -> Connection:
+    """Composite of f: S -> T with g: T -> V, re-validated before it is
+    built.  A psc argument needs a row: see ``connection_to_row``."""
+    if f.category != g.category:
+        raise InvalidMorphismError(f"category mismatch: {f.category} vs {g.category}")
+    if f.target != g.source:
+        raise InvalidMorphismError("middle trees do not match")
+    cat, S, V = f.category, f.source, g.target
+    if cat == PSC and max(g.surj.values[: g.emb.values[f.top] + 1]) > f.top:
+        raise InvalidMorphismError("composite escapes the inner initial segment")
+    try:
+        [[row]] = composite_rows(cat, f.target.n, connection_to_row(f)[None],
+                                 connection_to_row(g)[None])
+        _raise_first(cat, row_failures(cat, S, V, row[None]))
+    except InvalidMorphismError as exc:
+        raise InvalidMorphismError(f"composite failed re-validation: {exc}") from exc
+    return connection_from_row(cat, S, V, row.tolist())
+
+
 # ---------------------------------------------------------------------------
 # Construction helpers.
 # ---------------------------------------------------------------------------
@@ -344,54 +394,8 @@ def restrict(m: TreeMap, v: int) -> TreeMap:
 
 
 def identity_connection(t: OrderedTree, category: str = CONN) -> Connection:
-    ident = TreeMap(t, t, tuple(range(t.n)))
-    if category in EMB_ONLY:
-        return Connection(category, None, ident)
-    if category in SURJ_ONLY:
-        return Connection(category, ident, None)
-    if category == PSC:
-        surj = TreeMap(t, t, tuple(range(t.n)), domain_top=t.n - 1)
-        return Connection(PSC, surj, ident)
-    return Connection(category, ident, ident)
-
-
-def compose(f: Connection, g: Connection) -> Connection:
-    """Composite of f: S -> T with g: T -> V, re-validated after construction."""
-    if f.category != g.category:
-        raise InvalidMorphismError(f"category mismatch: {f.category} vs {g.category}")
-    if f.target != g.source:
-        raise InvalidMorphismError("middle trees do not match")
-    cat = f.category
-    S, V = f.source, g.target
-    if cat in EMB_ONLY:
-        vals = tuple(g.emb.values[v] for v in f.emb.values)
-        out = Connection(cat, None, TreeMap(S, V, vals))
-    elif cat in SURJ_ONLY:
-        vals = tuple(f.surj.values[v] for v in g.surj.values)
-        out = Connection(cat, TreeMap(V, S, vals), None)
-    elif cat == PSC:
-        new_top = g.emb.values[f.top]
-        svals = []
-        for y in range(new_top + 1):
-            mid = g.surj.values[y]
-            if mid > f.top:
-                raise InvalidMorphismError("composite escapes the inner initial segment")
-            svals.append(f.surj.values[mid])
-        evals = tuple(g.emb.values[f.emb.values[x]] for x in range(S.n))
-        out = Connection(
-            PSC,
-            TreeMap(V, S, tuple(svals), domain_top=new_top),
-            TreeMap(S, V, evals),
-        )
-    else:
-        svals = tuple(f.surj.values[g.surj.values[y]] for y in range(V.n))
-        evals = tuple(g.emb.values[f.emb.values[x]] for x in range(S.n))
-        out = Connection(cat, TreeMap(V, S, svals), TreeMap(S, V, evals))
-    try:
-        validate_connection(out)
-    except InvalidMorphismError as exc:
-        raise InvalidMorphismError(f"composite failed re-validation: {exc}") from exc
-    return out
+    row = list(range(t.n)) * (1 if category in EMB_ONLY + SURJ_ONLY else 2)
+    return connection_from_row(category, t, t, row)
 
 
 def complete_strong(p: Connection) -> Connection:
@@ -425,7 +429,7 @@ def connection_to_record(c: Connection) -> dict:
 def _record_ints(rec: dict, name: str):
     """rec[name] as a tuple of ints, or None when it is null or absent."""
     try:
-        return None if rec.get(name) is None else tuple(map(operator.index, rec[name]))
+        return None if rec.get(name) is None else tuple(map(record_index, rec[name]))
     except TypeError:
         raise ValueError(f"record field {name!r} must be a list of integers") from None
 
@@ -435,7 +439,7 @@ def connection_from_record(rec: dict) -> Connection:
     S = tree_from_record(record_field(rec, "source"))
     T = tree_from_record(record_field(rec, "target"))
     surj, emb, top = _record_ints(rec, "surj"), _record_ints(rec, "emb"), rec.get("domain_top")
-    if top is not None and not isinstance(top, int):
+    if top is not None and (isinstance(top, bool) or not isinstance(top, int)):
         raise ValueError("record field 'domain_top' must be an integer or null")
     surj = None if surj is None else TreeMap(T, S, surj, domain_top=top)
     emb = None if emb is None else TreeMap(S, T, emb)

@@ -21,8 +21,8 @@ from .errors import (
 )
 from .homsets import (HomSet, _check_sizes, _connections, _emb_rows, _row_keys,
                       composite_blocks, composite_indices, enumerate_connections, enumerate_hom)
-from .morphisms import (CONN, FAILURES, Connection, TreeMap, induced_embedding, row_failures,
-                        validate_connection)
+from .morphisms import (CONN, Connection, TreeMap, _raise_first, induced_embedding,
+                        row_disagreements, row_failures, validate_connection)
 from .trees import OrderedTree
 
 VERDICTS = ("arrows", "fails", "degree_at_most_k", "degree_exceeds_k", "unknown")
@@ -74,7 +74,8 @@ class ArrowCertificate:
 
     Negative verdicts carry the witness coloring and re-verify against the
     copy family by direct counting; ``unknown`` appears only on budget
-    exhaustion.
+    exhaustion, and then ``limit`` names the budget: max_hom, max_vertices,
+    max_nodes or time_cap (it is left out of the record).
     """
 
     verdict: str
@@ -82,6 +83,7 @@ class ArrowCertificate:
     k: int | None
     coloring: tuple[int, ...] | None
     explored: int
+    limit: str | None = None
 
     def __post_init__(self):
         if self.verdict not in VERDICTS:
@@ -126,12 +128,6 @@ def copy_family(S: OrderedTree, T: OrderedTree, V: OrderedTree, category: str,
     return CopyFamily(category, hom_st, hom_tv, hom_sv, rows)
 
 
-def _raise_first(category: str, failed: np.ndarray) -> None:
-    """Raise the message of the first row that ``row_failures`` failed."""
-    if (failed >= 0).any():
-        raise InvalidMorphismError(FAILURES[category][failed[failed >= 0][0]])
-
-
 def _csr(rows: np.ndarray, n_items: int):
     """Copy -> items and item -> copies in compressed form, copies of one
     width; each item lists its copies in order (a stable sort of the items)."""
@@ -151,6 +147,12 @@ def _order(mode: str, istart: np.ndarray, n_items: int) -> np.ndarray:
         degree = istart[1:] - istart[:-1]
         return np.argsort(-degree, kind="stable").astype(np.int64)
     return np.arange(n_items, dtype=np.int64)
+
+
+def _paused(r: int, budget: Budget, explored: int) -> ArrowCertificate:
+    """The certificate of a search that ``_run_chunks`` paused."""
+    limit = "max_nodes" if explored >= budget.max_nodes else "time_cap"
+    return ArrowCertificate("unknown", r, None, None, explored, limit)
 
 
 def _run_chunks(kernel_call, state, budget: Budget, t0: float):
@@ -194,15 +196,15 @@ def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     t0 = time.monotonic()
     try:
         fam = copy_family(S, T, V, category, budget)
-    except BudgetExceededError:
-        return ArrowCertificate("unknown", r, None, None, 0)
+    except BudgetExceededError as exc:
+        return ArrowCertificate("unknown", r, None, None, 0, exc.kind)
     status, coloring, explored = _search_bad_coloring(fam, r, budget, mode, t0)
     if status == kernels.FOUND:
         _verify_bad_coloring(fam, coloring, r)
         return ArrowCertificate("fails", r, None, coloring, explored)
     if status == kernels.EXHAUSTED:
         return ArrowCertificate("arrows", r, None, None, explored)
-    return ArrowCertificate("unknown", r, None, None, explored)
+    return _paused(r, budget, explored)
 
 
 def _search_arrays(fam: CopyFamily, mode: str):
@@ -276,11 +278,11 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     t0 = time.monotonic()
     try:
         fam = copy_family(S, T, V, category, budget)
-    except BudgetExceededError:
-        return None, ArrowCertificate("unknown", r, None, None, 0)
+    except BudgetExceededError as exc:
+        return None, ArrowCertificate("unknown", r, None, None, 0, exc.kind)
     status, k, witness, explored = _search_degree(fam, r, budget, mode, t0)
     if status != kernels.EXHAUSTED:
-        return None, ArrowCertificate("unknown", r, None, None, explored)
+        return None, _paused(r, budget, explored)
     _verify_degree_witness(fam, witness, r, k)
     if at_most is not None and k > at_most:
         return k, ArrowCertificate("degree_exceeds_k", r, k, witness, explored)
@@ -361,7 +363,7 @@ def verify_lower_bound(S: OrderedTree, witness: OrderedTree | None = None,
     of the marked set must satisfy powerset_coloring((t, j) o (s, i_B)) = B.
     The direct method composes the witnesses with Hom(T, V) by rows and
     checks and colors every composite in one array pass
-    (``_conn_disagreements``); the factored method sweeps the
+    (``morphisms.row_disagreements``); the factored method sweeps the
     skeleton/embedding pairs that classify Hom(T, V), which checks the same
     universally quantified statement because the coloring of a composite
     depends on the outer surjection only through its induced embedding.
@@ -385,19 +387,6 @@ def verify_lower_bound(S: OrderedTree, witness: OrderedTree | None = None,
     return _verify_lower_bound_factored(dbl, V, rows)
 
 
-def _conn_disagreements(S: OrderedTree, V: OrderedTree, rows: np.ndarray) -> np.ndarray:
-    """The (len(rows), S.n) boolean disagreement sets of CONN rows s | i of
-    Hom(S, V): where i differs from the induced embedding of s.  A row that
-    is not a connection raises with validate_connection's message."""
-    _raise_first(CONN, row_failures(CONN, S, V, rows))
-    surj, emb = rows[:, :V.n], rows[:, V.n:]
-    # A rigid s's induced embedding sends x to its least preimage (a meet
-    # of preimages that is one).  By condition (a) no vertex before the
-    # preimage i(x) maps above x, so i(x) is not the least if one maps to x.
-    prefix_max = np.maximum.accumulate(surj, axis=1)
-    return (emb > 0) & (prefix_max[np.arange(len(rows))[:, None], emb - 1] == np.arange(S.n))
-
-
 def _composite_disagreements(hom_st: HomSet, hom_tv: HomSet) -> Iterator[tuple[int, np.ndarray]]:
     """For blocks of g in CONN ``hom_tv``: (start, array (block, len(hom_st),
     S.n)) of the disagreement sets of every f o g, each composite checked
@@ -405,7 +394,7 @@ def _composite_disagreements(hom_st: HomSet, hom_tv: HomSet) -> Iterator[tuple[i
     S, V = hom_st.source, hom_tv.target
     for lo, block in composite_blocks(hom_st, hom_tv.rows, V.n + S.n):
         try:
-            diff = _conn_disagreements(S, V, block.reshape(-1, block.shape[2]))
+            diff = row_disagreements(CONN, S, V, block.reshape(-1, block.shape[2]))
         except InvalidMorphismError as exc:
             raise InvalidMorphismError(f"composite failed re-validation: {exc}") from exc
         yield lo, diff.reshape(block.shape[0], block.shape[1], S.n)
@@ -501,9 +490,7 @@ def verify_no_ramsey(S: OrderedTree, T: OrderedTree, x: int, s: TreeMap,
         raise InvalidMorphismError(
             f"hypothesis failed: induced image of {x} has fewer than two immediate successors"
         )
-    straight = Connection(CONN, s, TreeMap(S, T, ind.values))
-    pairs = HomSet(CONN, S, T, np.array(
-        [c.surj.values + c.emb.values for c in (straight, base)], dtype=np.int64))
+    pairs = HomSet(CONN, S, T, np.array([s.values + ind.values, s.values + i.values]))
     hom_tv = enumerate_connections(T, witness, CONN, budget)
     bad: list[str] = []
     for lo, diff in _composite_disagreements(pairs, hom_tv):

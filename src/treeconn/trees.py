@@ -263,13 +263,20 @@ def record_field(rec: dict, name: str):
     return rec[name]
 
 
+def record_index(v) -> int:
+    """operator.index(v), refusing the bools that JSON true and false load as."""
+    if isinstance(v, bool):
+        raise TypeError("a bool is not an integer")
+    return operator.index(v)
+
+
 def _record_parent(rec: dict) -> tuple[int, ...]:
     parent = record_field(rec, "parent")
     try:
-        parent = tuple(ROOT if p is None else operator.index(p) for p in parent)
+        parent = tuple(ROOT if p is None else record_index(p) for p in parent)
     except TypeError:
         raise ValueError("record field 'parent' must be a list of integers and nulls") from None
-    if rec.get("n") != len(parent):
+    if isinstance(rec.get("n"), bool) or rec.get("n") != len(parent):
         raise ValueError("record field 'n' does not match parent length")
     return parent
 

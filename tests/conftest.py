@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import treeconn as tc
 from treeconn import kernels
+from treeconn.morphisms import FAILURES
 from treeconn.trees import ROOT
 
 
@@ -250,6 +251,89 @@ def condition_a_loop(s, i):
     return True
 
 
+def validate_connection_loop(c, *, induced=induced_embedding_loop, embeds=is_embedding_loop):
+    """Loop reference for ``morphisms.validate_connection``: the conditions
+    of c's category, checked on the maps in the order of
+    ``morphisms.FAILURES``; raises the message of the first that fails.
+    ``induced`` and ``embeds`` stand in for the loop references of the same
+    name, so a caller can memoize them per half."""
+    cat = c.category
+    if cat == tc.EMB:
+        ok = embeds(c.emb)
+    elif cat == tc.INC_INJ:
+        ok = all(a < b for a, b in zip(c.emb.values, c.emb.values[1:]))
+    elif cat == tc.RIGID:
+        ok = len(set(c.surj.values)) == c.source.n and induced(c.surj) is not None
+    if cat in (tc.EMB, tc.INC_INJ, tc.RIGID):
+        if not ok:
+            raise tc.InvalidMorphismError(FAILURES[cat][0])
+        return
+    if cat == tc.PSC and max(c.emb.values) > c.surj.top:
+        raise tc.InvalidMorphismError(FAILURES[cat][0])
+    if cat == tc.PSC and c.emb.values[-1] != c.surj.top:
+        raise tc.InvalidMorphismError(FAILURES[cat][1])
+    # Condition (a) makes s onto, so the induced embedding exists below.
+    if not condition_a_loop(c.surj, c.emb):
+        raise tc.InvalidMorphismError(FAILURES[tc.CONN_LINEAR][0])
+    if cat in (tc.CONN, tc.PSC):
+        if induced(c.surj) is None:
+            raise tc.InvalidMorphismError(FAILURES[tc.RIGID][0])
+        if not embeds(c.emb):
+            raise tc.InvalidMorphismError(FAILURES[tc.EMB][0])
+    elif cat == tc.CONN_ROOT and c.emb.values[0] != 0:
+        raise tc.InvalidMorphismError(FAILURES[cat][1])
+
+
+def compose_loop(f, g):
+    """Loop reference for ``morphisms.compose``: the composite's values one
+    vertex at a time, re-validated by ``validate_connection_loop``."""
+    if f.category != g.category:
+        raise tc.InvalidMorphismError(f"category mismatch: {f.category} vs {g.category}")
+    if f.target != g.source:
+        raise tc.InvalidMorphismError("middle trees do not match")
+    cat = f.category
+    S, V = f.source, g.target
+    if cat in (tc.EMB, tc.INC_INJ):
+        vals = tuple(g.emb.values[v] for v in f.emb.values)
+        out = tc.Connection(cat, None, tc.TreeMap(S, V, vals))
+    elif cat == tc.RIGID:
+        vals = tuple(f.surj.values[v] for v in g.surj.values)
+        out = tc.Connection(cat, tc.TreeMap(V, S, vals), None)
+    elif cat == tc.PSC:
+        new_top = g.emb.values[f.top]
+        svals = []
+        for y in range(new_top + 1):
+            mid = g.surj.values[y]
+            if mid > f.top:
+                raise tc.InvalidMorphismError("composite escapes the inner initial segment")
+            svals.append(f.surj.values[mid])
+        evals = tuple(g.emb.values[f.emb.values[x]] for x in range(S.n))
+        out = tc.Connection(
+            tc.PSC,
+            tc.TreeMap(V, S, tuple(svals), domain_top=new_top),
+            tc.TreeMap(S, V, evals),
+        )
+    else:
+        svals = tuple(f.surj.values[g.surj.values[y]] for y in range(V.n))
+        evals = tuple(g.emb.values[f.emb.values[x]] for x in range(S.n))
+        out = tc.Connection(cat, tc.TreeMap(V, S, svals), tc.TreeMap(S, V, evals))
+    try:
+        validate_connection_loop(out)
+    except tc.InvalidMorphismError as exc:
+        raise tc.InvalidMorphismError(f"composite failed re-validation: {exc}") from exc
+    return out
+
+
+def disagreements_loop(c):
+    """Loop reference for ``colorings.invariant_set`` (less its marked-set
+    check): c validated by ``validate_connection_loop``, then the vertices
+    where its embedding differs from the induced embedding of its
+    surjection."""
+    validate_connection_loop(c)
+    ind = induced_embedding_loop(c.surj).values
+    return frozenset(x for x in range(c.source.n) if ind[x] != c.emb.values[x])
+
+
 def embedding_search_loop(meet_s, meet_t, pin_root, max_out):
     """Loop reference for ``kernels.embedding_search``: the same injections
     by backtracking.  Candidates are scanned in ascending order, so rows
@@ -443,12 +527,12 @@ def doubling_pair_sweep_loop(ms, js, anc, base, first_double, viol_out):
 def copy_family_loop(S, T, V, category):
     """Loop reference for ``search.copy_family``: Hom(S, V) as (key, top)
     pairs, and for each g in Hom(T, V) the sorted indices in Hom(S, V) of
-    ``tc.compose(f, g)`` over all f in Hom(S, T), found by key lookup."""
+    ``compose_loop(f, g)`` over all f in Hom(S, T), found by key lookup."""
     hom_st = list(tc.enumerate_hom(category, S, T))
     hom_sv = [(h.key(), h.top) for h in tc.enumerate_hom(category, S, V)]
     index = {key: i for i, (key, _) in enumerate(hom_sv)}
     copies = tuple(
-        tuple(sorted({index[tc.compose(f, g).key()] for f in hom_st}))
+        tuple(sorted({index[compose_loop(f, g).key()] for f in hom_st}))
         for g in tc.enumerate_hom(category, T, V)
     )
     return hom_sv, copies
@@ -682,7 +766,7 @@ def dfs_degree_loop(cstart, citems, clen, istart, icopies, order, r, ncopies,
 
 def verify_lower_bound_direct_loop(dbl, V, budget=tc.DEFAULT_BUDGET):
     """Loop reference for ``search._verify_lower_bound_direct``: one
-    ``tc.compose`` and one ``tc.powerset_coloring`` per (outer morphism,
+    ``compose_loop`` and one ``disagreements_loop`` per (outer morphism,
     subset) pair."""
     hom_tv = tc.enumerate_connections(dbl.tree, V, tc.CONN, budget)
     witnesses = [(B, dbl.connection_for(B)) for B in dbl.subsets()]
@@ -691,7 +775,7 @@ def verify_lower_bound_direct_loop(dbl, V, budget=tc.DEFAULT_BUDGET):
     for g in hom_tv:
         for B, w in witnesses:
             checked += 1
-            got = tc.powerset_coloring(tc.compose(w, g))
+            got = disagreements_loop(compose_loop(w, g))
             if got != B:
                 if len(bad) < 16:
                     bad.append(
@@ -707,16 +791,16 @@ def verify_lower_bound_direct_loop(dbl, V, budget=tc.DEFAULT_BUDGET):
 def verify_no_ramsey_loop(S, T, x, s, i, witness, budget=tc.DEFAULT_BUDGET):
     """Loop reference for the outer-composition check of
     ``tc.verify_no_ramsey`` (its preconditions are left to the caller): one
-    ``tc.compose`` and one ``tc.two_coloring`` per outer morphism and pair."""
+    ``compose_loop`` and one ``disagreements_loop`` per outer morphism and
+    pair."""
     base = tc.Connection(tc.CONN, s, i)
-    straight = tc.Connection(tc.CONN, s, tc.TreeMap(S, T, tc.induced_embedding(s).values))
+    straight = tc.Connection(tc.CONN, s, tc.TreeMap(S, T, induced_embedding_loop(s).values))
     hom_tv = tc.enumerate_connections(T, witness, tc.CONN, budget)
     bad = []
     checked = 0
     for g in hom_tv:
         checked += 1
-        c0 = tc.two_coloring(x, tc.compose(straight, g))
-        c1 = tc.two_coloring(x, tc.compose(base, g))
+        c0, c1 = (int(x in disagreements_loop(compose_loop(h, g))) for h in (straight, base))
         if (c0, c1) != (0, 1):
             if len(bad) < 16:
                 bad.append(

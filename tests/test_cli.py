@@ -136,6 +136,11 @@ GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_f
     ("invariant", dict(GOOD_RECORD, surj=3), "'surj'"),
     ("invariant", dict(GOOD_RECORD, emb=[[0], 1]), "'emb'"),
     ("invariant", dict(GOOD_RECORD, domain_top="2"), "'domain_top'"),
+    ("invariant", dict(GOOD_RECORD, domain_top=True), "'domain_top'"),
+    ("invariant", dict(GOOD_RECORD, surj=[0, 1, True, 1]), "'surj'"),
+    ("invariant", dict(GOOD_RECORD, emb=[0, True]), "'emb'"),
+    ("invariant", dict(GOOD_RECORD, source={"n": 2, "parent": [None, False]}), "'parent'"),
+    ("invariant", dict(GOOD_RECORD, source={"n": True, "parent": [None]}), "'n'"),
     ("functor", None, "'category'"),
     ("tree", {"parent": 5}, "'parent'"),
     ("tree", {"parent": [None, "0"], "n": 2}, "'parent'"),
@@ -148,7 +153,8 @@ GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_f
     ("labels", {"vertex_map": 5}, "'vertex_map'"),
     ("labels", {"doubles": [5]}, "'doubles'"),
 ], ids=["no-source", "not-an-object", "target-without-parent", "surj-not-a-list", "emb-nested",
-        "domain-top-string", "null", "tree-parent-int", "tree-parent-string-entry",
+        "domain-top-string", "domain-top-bool", "surj-bool-entry", "emb-bool-entry",
+        "parent-bool-entry", "n-bool", "null", "tree-parent-int", "tree-parent-string-entry",
         "forest-without-parent", "config-not-an-object", "config-limit-string",
         "config-limit-bool", "config-time-cap-string", "labels-not-an-object",
         "labels-vertex-map-int", "labels-doubles-int"])
@@ -212,6 +218,25 @@ def test_invariant_and_functor_commands(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "functor", "lower", json.dumps(payload["after"]))
     assert code == 0
     assert json.loads(out)["after"]["emb"] == [0, 1]
+
+
+@pytest.mark.parametrize("category", [tc.RIGID, tc.EMB, tc.INC_INJ, tc.CONN_LINEAR, tc.CONN_ROOT])
+def test_invariant_refuses_categories_without_disagreement_sets(capsys, category):
+    rec = tc.connection_to_record(tc.enumerate_hom(category, tc.chain(2), tc.chain(3))[0])
+    code, out, err = run_cli(capsys, "invariant", json.dumps(rec))
+    assert (code, out) == (3, "")
+    assert err == ("error: disagreement sets are defined for conn and psc morphisms, "
+                   f"not {category}\n")
+
+
+def test_unknown_names_its_limit_on_stderr(capsys):
+    for flags, command, limit in ((["--budget-max-nodes", "1"], "arrow", "max_nodes"),
+                                  (["--budget-max-hom", "3"], "degree", "max_hom")):
+        argv = [command, "chain2", "chain3", "chain6", "--cat", "incinj", "-r", "2"]
+        code, out, err = run_cli(capsys, *flags, *argv)
+        explored = 1 if limit == "max_nodes" else 0
+        assert (code, err) == (2, f"unknown: {limit}\n")
+        assert out == f'{{"coloring":null,"explored":{explored},"k":null,"r":2,"verdict":"unknown"}}\n'
 
 
 def test_config_file_flags_win(tmp_path, capsys):

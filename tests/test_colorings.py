@@ -32,6 +32,18 @@ def test_two_coloring_examples():
     assert tc.two_coloring(1, dbl.connection_for(())) == 0
 
 
+def test_disagreement_sets_are_for_conn_and_psc_only():
+    # psc morphisms are colored like their connections; every other
+    # category is refused by name.
+    for c in tc.enumerate_connections(C2, C3):
+        assert tc.invariant_set(tc.to_strong(c)) == tc.invariant_set(c)
+    for cat in (tc.RIGID, tc.EMB, tc.INC_INJ, tc.CONN_LINEAR, tc.CONN_ROOT):
+        c = tc.enumerate_hom(cat, C2, C3)[0]
+        for color in (tc.invariant_set, lambda c: tc.two_coloring(0, c)):
+            with pytest.raises(InvalidMorphismError, match=f"conn and psc morphisms, not {cat}$"):
+                color(c)
+
+
 def test_to_strong_examples():
     assert tc.to_strong(tc.identity_connection(C3)).key() == tc.identity_connection(
         C3, tc.PSC

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,16 +9,18 @@ import pytest
 import treeconn as tc
 from treeconn.errors import BudgetExceededError, InvalidMorphismError
 from treeconn.homsets import HomSet, _row_keys
-from treeconn.morphisms import FAILURES, row_failures
-from treeconn.search import _conn_disagreements
+from treeconn.morphisms import FAILURES, row_disagreements, row_failures
 from conftest import (
     conn_oracle,
+    disagreements_loop,
     emb_oracle,
     incinj_oracle,
+    induced_embedding_loop,
     is_embedding_loop,
     linear_conn_oracle,
     psc_oracle,
     rigid_oracle,
+    validate_connection_loop,
 )
 
 C1, C2, C3 = tc.chain(1), tc.chain(2), tc.chain(3)
@@ -184,31 +187,45 @@ def _raw_rows(S, V):
     return np.concatenate((np.repeat(surj, len(emb), axis=0), np.tile(emb, (len(surj), 1))), axis=1)
 
 
-@functools.cache
-def _tree_map(frm, to, values):
-    """One TreeMap per distinct half: raw rows repeat each half many times."""
-    return tc.TreeMap(frm, to, values)
+# Raw rows repeat each half many times, so the reference's per-half work is
+# done once per distinct half: one TreeMap each, the induced embedding of a
+# surjection and the embedding check of an embedding.
+_induced = functools.cache(induced_embedding_loop)
+_embeds = functools.cache(is_embedding_loop)
 
 
-def _validate_row(S, V, row):
-    """(validate_connection's message or None, disagreements with the
-    induced embedding or None) for one CONN row."""
-    s, i = _tree_map(V, S, tuple(row[:V.n])), _tree_map(S, V, tuple(row[V.n:]))
+def _halves(rows, cols, frm, to):
+    """Per row, its half rows[:, cols] as a TreeMap frm -> to, one object
+    per distinct half (found by the half's base-|to| numeral)."""
+    half = rows[:, cols]
+    _, first, inv = np.unique(half @ to.n ** np.arange(half.shape[1]),
+                              return_index=True, return_inverse=True)
+    maps = [tc.TreeMap(frm, to, vals) for vals in half[first].tolist()]
+    return [maps[k] for k in inv.tolist()]
+
+
+def _validate_pair(s, i):
+    """(validate_connection_loop's message or None, disagreements with the
+    induced embedding or None) for the CONN pair (s, i)."""
+    # The halves run between the same two trees, so a namespace stands in
+    # for the Connection, whose construction would cost more than the check.
     try:
-        tc.validate_connection(tc.Connection(tc.CONN, s, i))
+        validate_connection_loop(SimpleNamespace(category=tc.CONN, surj=s, emb=i),
+                                 induced=_induced, embeds=_embeds)
     except InvalidMorphismError as exc:
         return str(exc), None
-    ind = tc.induced_embedding(s).values
-    return None, [i.values[x] != ind[x] for x in range(S.n)]
+    ind = _induced(s).values
+    return None, [a != b for a, b in zip(i.values, ind)]
 
 
 def _assert_rows_match_validation(S, V, rows):
     failed = row_failures(tc.CONN, S, V, rows)
     diff = np.zeros((len(rows), S.n), dtype=bool)
-    diff[failed < 0] = _conn_disagreements(S, V, rows[failed < 0])
+    diff[failed < 0] = row_disagreements(tc.CONN, S, V, rows[failed < 0])
     seen = set()
-    for row, f, d in zip(rows.tolist(), failed.tolist(), diff.tolist()):
-        msg, want = _validate_row(S, V, row)
+    pairs = zip(_halves(rows, slice(None, V.n), V, S), _halves(rows, slice(V.n, None), S, V))
+    for row, (s, i), f, d in zip(rows.tolist(), pairs, failed.tolist(), diff.tolist()):
+        msg, want = _validate_pair(s, i)
         assert (FAILURES[tc.CONN][f] if f >= 0 else None) == msg, (S, V, row)
         if want is not None:
             assert d == want, (S, V, row)
@@ -254,7 +271,7 @@ def test_row_failures_match_validate_connection_on_raw_rows(category):
         failed = row_failures(category, S, V, rows).tolist()
         for c, f in zip(HomSet(category, S, V, rows), failed):
             try:
-                tc.validate_connection(c)
+                validate_connection_loop(c)
                 msg = None
             except InvalidMorphismError as exc:
                 msg = str(exc)
@@ -294,8 +311,8 @@ def test_conn_disagreements_on_enumerated_connections(trees_up_to_5):
             hom = tc.enumerate_connections(S, V)
             if len(hom):
                 assert _assert_rows_match_validation(S, V, hom.rows) == {-1}
-                assert _conn_disagreements(S, V, hom.rows).tolist() == [
-                    [x in tc.invariant_set(c) for x in range(S.n)] for c in hom]
+                assert row_disagreements(tc.CONN, S, V, hom.rows).tolist() == [
+                    [x in disagreements_loop(c) for x in range(S.n)] for c in hom]
 
 
 def test_conn_disagreements_raises_on_the_first_invalid_row():
@@ -305,6 +322,6 @@ def test_conn_disagreements_raises_on_the_first_invalid_row():
                          ((0, 0, 0, 1, 1, 3), FAILURES[tc.CONN][2])):  # i(0) is not the root
         mixed = np.concatenate((rows, [bad], rows))
         with pytest.raises(InvalidMorphismError, match=message):
-            _conn_disagreements(S, V, mixed)
+            row_disagreements(tc.CONN, S, V, mixed)
     with pytest.raises(InvalidMorphismError, match="outside"):
-        _conn_disagreements(S, V, np.array([[0, 1, 1, 2, 0, 1]]))
+        row_disagreements(tc.CONN, S, V, np.array([[0, 1, 1, 2, 0, 1]]))

@@ -7,6 +7,7 @@ import treeconn as tc
 from treeconn.errors import InvalidMorphismError
 from conftest import (
     canonical_trees,
+    compose_loop,
     cond_a_oracle,
     condition_a_loop,
     emb_oracle,
@@ -14,9 +15,10 @@ from conftest import (
     induced_embedding_loop,
     is_embedding_loop,
     rigid_oracle,
+    validate_connection_loop,
 )
 
-C2, C3, C4 = tc.chain(2), tc.chain(3), tc.chain(4)
+C1, C2, C3, C4 = tc.chain(1), tc.chain(2), tc.chain(3), tc.chain(4)
 
 
 def tmap(S, T, vals, top=None):
@@ -134,6 +136,23 @@ def test_compose_psc_associative_small():
                 assert left.top == right.top
 
 
+def test_compose_refuses_psc_arguments_outside_their_segments():
+    # g sends vertex 0, at or below the new top g_e(f_top) = 0, to 1, past
+    # f's top 0: the composite escapes the inner initial segment.
+    f = tc.Connection(tc.PSC, tmap(C2, C1, (0,), top=0), tmap(C1, C2, (0,)))
+    g = tc.Connection(tc.PSC, tmap(C2, C2, (1, 1), top=1), tmap(C2, C2, (0, 1)))
+    for fn in (tc.compose, compose_loop):
+        with pytest.raises(InvalidMorphismError, match="^composite escapes the inner initial"):
+            fn(f, g)
+    # A psc argument that is no strong pair has no row, so compose refuses
+    # it, even where the loop reference's composite happens to be valid.
+    weak = tc.Connection(tc.PSC, tmap(C3, C2, (0, 1, 1), top=2), tmap(C2, C3, (0, 1)))
+    ident = tc.identity_connection(C2, tc.PSC)
+    assert compose_loop(ident, weak).key() == ((0, 1), (0, 1))
+    with pytest.raises(InvalidMorphismError, match="re-validation: pair is not strong"):
+        tc.compose(ident, weak)
+
+
 def test_complete_strong_examples():
     dbl = tc.doubling_tree(C2)
     T = dbl.tree
@@ -236,11 +255,13 @@ def test_predicates_match_loop_references():
         for e in itertools.product(range(T.n), repeat=S.n):
             f = tmap(S, T, e)
             assert tc.is_embedding(f) == is_embedding_loop(f), (S, T, e)
+            assert tc.is_increasing_injection(f) == (list(e) == sorted(set(e))), (S, T, e)
         for top in range(T.n):
             for svals in itertools.product(range(S.n), repeat=top + 1):
                 s = tmap(T, S, svals, top)
-                assert (_outcome(tc.induced_embedding, s)
-                        == _outcome(induced_embedding_loop, s)), (S, T, svals)
+                want = _outcome(induced_embedding_loop, s)
+                assert _outcome(tc.induced_embedding, s) == want, (S, T, svals)
+                assert tc.is_rigid_surjection(s) == isinstance(want, tuple), (S, T, svals)
 
 
 def test_linear_categories():
@@ -287,3 +308,50 @@ def test_any_extension_of_an_embedding_is_rigid(S, T, data):
     s = tc.TreeMap(T, S, tuple(vals))
     assert tc.is_rigid_surjection(s)
     assert tc.induced_embedding(s).values == skel
+
+
+def _morphism(data, category, S, T, raw):
+    """A morphism of Hom(S, T) drawn from the enumerated Hom-set, or, when
+    ``raw``, a Connection of the category's shape with arbitrary values (a
+    psc surjection on an arbitrary initial segment)."""
+    if not raw:
+        hom = tc.enumerate_hom(category, S, T)
+        assume(len(hom) > 0)
+        return hom[data.draw(st.integers(0, len(hom) - 1))]
+    values = lambda frm, to, n: data.draw(st.lists(st.integers(0, to.n - 1),
+                                                   min_size=n, max_size=n))
+    surj = emb = None
+    if category != tc.RIGID:
+        emb = tmap(S, T, values(S, T, S.n))
+    if category not in (tc.EMB, tc.INC_INJ):
+        top = data.draw(st.integers(0, T.n - 1)) if category == tc.PSC else None
+        surj = tmap(T, S, values(T, S, T.n if top is None else top + 1), top)
+    return tc.Connection(category, surj, emb)
+
+
+def _result(fn, *args):
+    """fn(*args) as comparable data: a morphism's key and top, None, or the
+    error message."""
+    try:
+        out = fn(*args)
+    except InvalidMorphismError as exc:
+        return str(exc)
+    return None if out is None else (out.key(), out.top)
+
+
+@given(st.sampled_from(tc.CATEGORIES), canonical_trees(max_n=3), canonical_trees(max_n=5),
+       st.booleans(), st.data())
+def test_validate_connection_matches_loop_reference(category, S, T, raw, data):
+    c = _morphism(data, category, S, T, raw)
+    assert _result(tc.validate_connection, c) == _result(validate_connection_loop, c)
+
+
+@given(st.sampled_from(tc.CATEGORIES), canonical_trees(max_n=3), canonical_trees(max_n=4),
+       canonical_trees(max_n=5), st.booleans(), st.data())
+def test_compose_matches_loop_reference(category, S, T, V, raw, data):
+    # compose needs a psc argument shaped as a strong pair (it has no row
+    # otherwise), so raw psc maps are left out.
+    raw = raw and category != tc.PSC
+    f = _morphism(data, category, S, T, raw)
+    g = _morphism(data, category, T, V, raw)
+    assert _result(tc.compose, f, g) == _result(compose_loop, f, g)

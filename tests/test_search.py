@@ -238,6 +238,25 @@ def test_arrow_budget_unknown():
     assert time.perf_counter() - t0 < 3.0
 
 
+def test_unknown_names_its_limit(monkeypatch):
+    V = tc.chain(6)
+    for limit, budget in (("max_hom", tc.Budget(max_hom=3)),
+                          ("max_vertices", tc.Budget(max_vertices=5)),
+                          ("max_nodes", tc.Budget(max_nodes=1))):
+        cert = tc.arrow_check(C2, C3, V, 2, tc.INC_INJ, budget=budget)
+        k, degree_cert = tc.degree_at_witness(C2, C3, V, 2, tc.INC_INJ, budget=budget)
+        assert (cert.verdict, degree_cert.verdict, k) == ("unknown", "unknown", None)
+        assert cert.limit == degree_cert.limit == limit
+        assert "limit" not in cert.to_record()
+    real = search.copy_family
+    monkeypatch.setattr(search, "copy_family", lambda *args: time.sleep(0.3) or real(*args))
+    budget = tc.Budget(time_cap=0.2)
+    assert tc.arrow_check(C2, C3, tc.chain(12), 3, tc.INC_INJ, budget).limit == "time_cap"
+    assert tc.degree_at_witness(C2, C3, tc.chain(8), 3, tc.INC_INJ, budget)[1].limit == "time_cap"
+    # A decided verdict names no limit.
+    assert tc.arrow_check(C2, C3, tc.chain(5), 2, tc.INC_INJ).limit is None
+
+
 def test_time_cap_counts_enumeration(monkeypatch):
     # The cap counts from before the copy family is built, so a family that
     # takes longer than the cap leaves only the first, short search chunk.
