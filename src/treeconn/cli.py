@@ -36,6 +36,7 @@ from .trees import (
     format_tree,
     parse_forest,
     parse_tree,
+    record_index,
     tree_from_record,
 )
 
@@ -118,16 +119,14 @@ def _labels_from_table(path: str) -> dict[int, str]:
     rec = json.loads(Path(path).read_text())
     if not isinstance(rec, dict):
         raise ValueError("--labels table must be a JSON object")
-    labels: dict[int, str] = {}
     try:
-        for v, idx in enumerate(rec.get("vertex_map", [])):
-            labels[idx] = str(v)
+        labels = {record_index(i): str(v) for v, i in enumerate(rec.get("vertex_map", []))}
     except TypeError:
         raise ValueError("labels field 'vertex_map' must be a list of vertices") from None
     try:
-        for b, b1, b2 in rec.get("doubles", []):
-            labels[b1] = f"{b}.1"
-            labels[b2] = f"{b}.2"
+        for entry in rec.get("doubles", []):
+            b, b1, b2 = map(record_index, entry)
+            labels[b1], labels[b2] = f"{b}.1", f"{b}.2"
     except (TypeError, ValueError):
         raise ValueError("labels field 'doubles' must be a list of [base, first, second]") from None
     return labels

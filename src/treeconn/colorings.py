@@ -102,19 +102,17 @@ def compose_annotated(f: AnnotatedPscHom, g: Connection) -> AnnotatedPscHom:
 
 
 def _prune(hom: Connection) -> tuple[Connection, int]:
+    """One pruning step; it validates its input (by ``two_coloring``), not its output."""
     S = hom.source
     if S.n < 2:
         raise InvalidMorphismError("cannot prune a single-vertex source")
-    v = S.n - 1
     w = S.n - 2
-    bit = two_coloring(v, hom)
+    bit = two_coloring(S.n - 1, hom)
     Sw = initial_subtree(S, w)
     iw = hom.emb.values[w]
     surj = TreeMap(hom.target, Sw, hom.surj.values[: iw + 1], domain_top=iw)
     emb = TreeMap(Sw, hom.target, hom.emb.values[: w + 1])
-    out = Connection(PSC, surj, emb)
-    validate_connection(out)
-    return out, bit
+    return Connection(PSC, surj, emb), bit
 
 
 def prune_top(p: AnnotatedPscHom) -> AnnotatedPscHom:
@@ -123,6 +121,7 @@ def prune_top(p: AnnotatedPscHom) -> AnnotatedPscHom:
     the embedding disagreed with the induced embedding at the dropped vertex.
     """
     hom, bit = _prune(p.hom)
+    validate_connection(hom)
     return AnnotatedPscHom(hom, p.bits + (bit,))
 
 
@@ -156,10 +155,11 @@ def prune_signature(p: Connection) -> frozenset[int]:
     if p.category != PSC:
         raise InvalidMorphismError("prune_signature applies to partial strong pairs")
     S = p.source
-    q = annotate(p)
-    while q.source.n > 1:
-        q = prune_top(q)
-    members = frozenset(S.n - 1 - j for j, b in enumerate(q.bits) if b)
+    bits = []
+    while p.source.n > 1:
+        p, bit = _prune(p)
+        bits.append(bit)
+    members = frozenset(S.n - 1 - j for j, b in enumerate(bits) if b)
     outside = members - marked_set(S)
     if outside:
         raise InvalidMorphismError(

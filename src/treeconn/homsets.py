@@ -11,13 +11,13 @@ composites in Hom(S, V), all on these arrays.
 Embeddings are built level by level, within ``max_hom`` at every level, and
 every other Hom-set is generated from them: a rigid surjection is the unique
 extension of its induced embedding (its skeleton) by choices at the
-positions off the skeleton.  Connections, and partial strong pairs once per
-initial segment, are generated pair-first: each (skeleton, embedding) pair
-that can carry a connection is expanded directly over the values its free
-positions allow, so ``max_hom`` bounds the output before any row exists and
-no skeleton x embedding cross product is built.  Rigid surjections, one
-skeleton each, are expanded the same way.  Filter-all-maps oracles live in
-the test suite.
+positions off the skeleton.  Connections and partial strong pairs (cut at
+the embedding's top) are generated pair-first, in one pass: each (skeleton,
+embedding) pair that can carry a connection is expanded directly over the
+values its free positions allow, so ``max_hom`` bounds the output before any
+row exists and no skeleton x embedding cross product is built.  Rigid
+surjections, one skeleton each, are expanded the same way.  Filter-all-maps
+oracles live in the test suite.
 """
 
 from __future__ import annotations
@@ -158,13 +158,14 @@ def enumerate_connections(S: OrderedTree, T: OrderedTree, category: str = CONN,
 
 def _connections(S: OrderedTree, T: OrderedTree, category: str, skels: np.ndarray,
                  budget: Budget) -> HomSet:
-    """Hom(S, T) for a total-pair category from its skeletons: the rows of
-    the embeddings S -> T, or of the increasing injections when linear."""
+    """Hom(S, T) for conn, conn-linear, conn-root or psc from its skeletons:
+    the rows of the embeddings S -> T, or of the increasing injections when linear."""
     embs = skels[skels[:, 0] == 0] if category == CONN_ROOT else skels
-    dom = T.anc if category == CONN else _leq_matrix(T.n)
-    rows = kernels.connection_rows(skels, embs, dom, budget.max_hom)
+    dom = T.anc if category in (CONN, PSC) else _leq_matrix(T.n)
+    rows = kernels.connection_rows(skels, embs, dom, budget.max_hom, category == PSC)
     if rows is None:
-        raise BudgetExceededError(f"more than max_hom={budget.max_hom} connections", kind="max_hom")
+        what = "partial strong pairs" if category == PSC else "connections"
+        raise BudgetExceededError(f"more than max_hom={budget.max_hom} {what}", kind="max_hom")
     return HomSet(category, S, T, rows)
 
 
@@ -174,27 +175,12 @@ def enumerate_psc(S: OrderedTree, T: OrderedTree,
     between the initial segment up to v and S.
 
     The embeddings of S into the initial segment up to v are the embeddings
-    into T that end at or below v; those ending at v are the strong ones.
+    into T that end at or below v; those ending at v are the strong ones.  So
+    one pair-first pass over all embeddings S -> T builds every segment, each
+    surjection cut at its embedding's top and padded with -1.
     """
     _check_sizes(budget, S, T)
-    rows = _emb_rows(S, T, budget)
-    parts = [np.empty((0, T.n + S.n), dtype=np.int64)]
-    found = 0
-    for v in range(S.n - 1, T.n):
-        embs = rows[rows[:, -1] == v]
-        if len(embs) == 0:
-            continue
-        part = kernels.connection_rows(rows[rows[:, -1] <= v], embs,
-                                       T.anc[: v + 1, : v + 1], budget.max_hom - found)
-        if part is None:
-            raise BudgetExceededError(
-                f"more than max_hom={budget.max_hom} partial strong pairs", kind="max_hom"
-            )
-        found += len(part)
-        # Pad the surjection to T.n with -1: a shorter prefix sorts first.
-        parts.append(np.insert(part, [v + 1] * (T.n - 1 - v), -1, axis=1))
-    allrows = np.concatenate(parts)
-    return HomSet(PSC, S, T, allrows[np.lexsort(allrows.T[::-1])])
+    return _connections(S, T, PSC, _emb_rows(S, T, budget), budget)
 
 
 def enumerate_hom(category: str, S: OrderedTree, T: OrderedTree,

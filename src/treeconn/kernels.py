@@ -1,12 +1,12 @@
 """Array kernels for the hot enumeration and search loops.
 
 Embeddings are expanded level by level (``embedding_search``).  Connections
-are generated pair-first: ``realizable_pairs`` finds the (skeleton,
-embedding) pairs that carry a connection, ``connection_rows`` expands each
-pair over its free positions, and ``doubling_pair_sweep`` checks the
-doubling stability condition on the pairs.  Rigid surjections
-(``rigid_count``, ``rigid_fill``) go through the same mixed-radix expansion,
-one skeleton per pair.  These are plain numpy, in blocks of a fixed cell count.
+and partial strong pairs are generated pair-first: ``realizable_pairs`` finds
+the (skeleton, embedding) pairs that carry one, ``connection_rows`` expands
+each over its free positions (a psc pair's up to its embedding's top), and
+``doubling_pair_sweep`` checks the doubling stability condition on them.
+Rigid surjections (``rigid_count``, ``rigid_fill``) share the mixed-radix
+expansion, one skeleton per pair.  All are plain numpy, in fixed-size blocks.
 
 The loop kernels (the two coloring searches and the unused ``pair_filter``)
 are compiled with numba when it imports and run interpreted otherwise.
@@ -488,10 +488,13 @@ def _expand(blocks, width, max_out, out=None):
     return out[:total]
 
 
-def connection_rows(skels, embs, dom, max_out):
+def connection_rows(skels, embs, dom, max_out, partial=False):
     """Every connection over the realizable (skeleton, embedding) pairs, as
     rows s | j of length nt + ns in lexicographic order, or None, before any
-    row is allocated, when there are more than max_out."""
+    row is allocated, when there are more than max_out.  With ``partial``
+    (psc) s stops at j's top, in whose segment the skeleton already lies:
+    each position above it takes one placeholder value, so the counts stay
+    exact, and is written -1 before the sort, so a shorter prefix sorts first."""
     ns = skels.shape[1]
     nt = dom.shape[0]
     caps = pair_caps(embs, nt)
@@ -501,9 +504,14 @@ def connection_rows(skels, embs, dom, max_out):
         for p, q in realizable_pairs(skels, embs, dom, caps):
             for k0 in range(0, len(p), step):
                 bq = q[k0:k0 + step]
-                yield _allowed(skels[p[k0:k0 + step]], embs[bq], caps[bq], dom), embs[bq]
+                allowed = _allowed(skels[p[k0:k0 + step]], embs[bq], caps[bq], dom)
+                if partial:
+                    allowed[np.arange(nt) > embs[bq, -1:]] = np.arange(ns) == 0
+                yield allowed, embs[bq]
 
     out = _expand(blocks(), nt + ns, max_out)
+    if out is not None and partial:
+        out[:, :nt][np.arange(nt) > out[:, -1:]] = -1
     return None if out is None else out[np.lexsort(out.T[::-1])]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .config import DEFAULT_BUDGET, Budget
+from .config import DEFAULT_BUDGET, MODES, Budget
 from .constructions import DoublingResult, doubling_tree
 from .errors import (
     BudgetExceededError,
@@ -180,6 +180,13 @@ def _run_chunks(kernel_call, state, budget: Budget, t0: float):
             chunk = max(_FIRST_TIMED_CHUNK, int(rate * _CHUNK_SECONDS))
 
 
+def _check_search_args(r: int, mode: str) -> None:
+    if r < 1:
+        raise ValueError("need at least one color")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
+
+
 def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
                 category: str, budget: Budget = DEFAULT_BUDGET,
                 mode: str = "canonical") -> ArrowCertificate:
@@ -191,8 +198,7 @@ def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     such); ``arrows`` is an exhaustion record of the pruned search over all
     colorings up to color renaming.
     """
-    if r < 1:
-        raise ValueError("need at least one color")
+    _check_search_args(r, mode)
     t0 = time.monotonic()
     try:
         fam = copy_family(S, T, V, category, budget)
@@ -273,8 +279,7 @@ def degree_at_witness(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
     reports whether the computed degree stays within that bound.  Raises
     ValueError when min(r, number of items) exceeds 63 colors.
     """
-    if r < 1:
-        raise ValueError("need at least one color")
+    _check_search_args(r, mode)
     t0 = time.monotonic()
     try:
         fam = copy_family(S, T, V, category, budget)

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 import treeconn as tc
 from treeconn import kernels
-from treeconn.morphisms import FAILURES
+from treeconn.errors import BudgetExceededError
+from treeconn.homsets import HomSet, _check_sizes, _emb_rows
+from treeconn.morphisms import FAILURES, PSC
 from treeconn.trees import ROOT
 
 
@@ -522,6 +524,31 @@ def doubling_pair_sweep_loop(ms, js, anc, base, first_double, viol_out):
                     viol_out[nviol] = (p, q)
                 nviol += 1
     return nfeas, nviol
+
+
+def enumerate_psc_loop(S, T, budget=tc.DEFAULT_BUDGET):
+    """Per-segment reference for ``homsets.enumerate_psc``: one
+    ``kernels.connection_rows`` call per initial segment up to v, its rows
+    padded to T.n with -1, then all of them sorted."""
+    _check_sizes(budget, S, T)
+    rows = _emb_rows(S, T, budget)
+    parts = [np.empty((0, T.n + S.n), dtype=np.int64)]
+    found = 0
+    for v in range(S.n - 1, T.n):
+        embs = rows[rows[:, -1] == v]
+        if len(embs) == 0:
+            continue
+        part = kernels.connection_rows(rows[rows[:, -1] <= v], embs,
+                                       T.anc[: v + 1, : v + 1], budget.max_hom - found)
+        if part is None:
+            raise BudgetExceededError(
+                f"more than max_hom={budget.max_hom} partial strong pairs", kind="max_hom"
+            )
+        found += len(part)
+        # Pad the surjection to T.n with -1: a shorter prefix sorts first.
+        parts.append(np.insert(part, [v + 1] * (T.n - 1 - v), -1, axis=1))
+    allrows = np.concatenate(parts)
+    return HomSet(PSC, S, T, allrows[np.lexsort(allrows.T[::-1])])
 
 
 def copy_family_loop(S, T, V, category):

@@ -152,12 +152,19 @@ GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_f
     ("labels", [1], "--labels"),
     ("labels", {"vertex_map": 5}, "'vertex_map'"),
     ("labels", {"doubles": [5]}, "'doubles'"),
+    ("labels", {"vertex_map": ["0", 1.5]}, "'vertex_map'"),
+    ("labels", {"vertex_map": [1.5]}, "'vertex_map'"),
+    ("labels", {"vertex_map": [0, True]}, "'vertex_map'"),
+    ("labels", {"doubles": [["x\"y", 1, 2]]}, "'doubles'"),
+    ("labels", {"doubles": [[1, 2, False]]}, "'doubles'"),
 ], ids=["no-source", "not-an-object", "target-without-parent", "surj-not-a-list", "emb-nested",
         "domain-top-string", "domain-top-bool", "surj-bool-entry", "emb-bool-entry",
         "parent-bool-entry", "n-bool", "null", "tree-parent-int", "tree-parent-string-entry",
         "forest-without-parent", "config-not-an-object", "config-limit-string",
         "config-limit-bool", "config-time-cap-string", "labels-not-an-object",
-        "labels-vertex-map-int", "labels-doubles-int"])
+        "labels-vertex-map-int", "labels-doubles-int", "labels-vertex-map-string",
+        "labels-vertex-map-float", "labels-vertex-map-bool", "labels-doubles-string-base",
+        "labels-doubles-bool"])
 def test_malformed_records_exit_3(tmp_path, capsys, command, record, field):
     # A record of the wrong shape is bad input (3), not a failed check (1).
     path = tmp_path / "rec.json"

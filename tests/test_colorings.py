@@ -1,6 +1,7 @@
 import pytest
 
 import treeconn as tc
+from treeconn import morphisms
 from treeconn.colorings import _prune
 from treeconn.errors import InvalidMorphismError
 
@@ -129,6 +130,28 @@ def test_prune_signature_equals_invariant_set():
         for T in tc.all_trees_up_to(4):
             for p in tc.enumerate_psc(S, T):
                 assert tc.prune_signature(p) == tc.invariant_set(p)
+
+
+def test_prune_signature_checks_each_step_once(monkeypatch):
+    # Each step's input check covers the previous step's output: S.n - 1
+    # validity checks in all, one per pruning step.
+    calls = []
+    row_failures = morphisms.row_failures
+
+    def counted(*args):
+        calls.append(1)
+        return row_failures(*args)
+
+    monkeypatch.setattr(morphisms, "row_failures", counted)
+    V = tc.doubling_tree(tc.doubling_tree(C2).tree).tree
+    for S in tc.all_trees_up_to(4):
+        for p in list(tc.enumerate_psc(S, V))[::7]:
+            calls.clear()
+            tc.prune_signature(p)
+            assert len(calls) == S.n - 1
+    bad = tc.Connection(tc.PSC, tmap(C3, C2, (0, 0, 1)), tmap(C2, C3, (0, 1)))
+    with pytest.raises(InvalidMorphismError):
+        tc.prune_signature(bad)
 
 
 def test_annotated_composition_keeps_bits():

@@ -7,19 +7,23 @@ import numpy as np
 import pytest
 
 import treeconn as tc
+from treeconn import kernels
 from treeconn.errors import BudgetExceededError, InvalidMorphismError
 from treeconn.homsets import HomSet, _row_keys
 from treeconn.morphisms import FAILURES, row_disagreements, row_failures
+from treeconn.trees import ROOT
 from conftest import (
     conn_oracle,
     disagreements_loop,
     emb_oracle,
+    enumerate_psc_loop,
     incinj_oracle,
     induced_embedding_loop,
     is_embedding_loop,
     linear_conn_oracle,
     psc_oracle,
     rigid_oracle,
+    small_trees,
     validate_connection_loop,
 )
 
@@ -98,6 +102,48 @@ def test_lexicographic_order():
 def test_psc_singleton_from_point():
     for T in tc.all_trees_up_to(5):
         assert len(tc.enumerate_psc(C1, T)) == 1
+
+
+def _psc_pairs():
+    """Every S <= 4 vertices into every T <= 5 vertices, plus chain2 and
+    doubling(chain2) into doubling^2(chain2) and each of its 1- and 2-leaf
+    extensions (|V| <= 10)."""
+    D1 = tc.doubling_tree(C2).tree
+    D2 = tc.doubling_tree(D1).tree
+    leaf = tc.Forest((ROOT,))
+    witnesses = [D2] + [tc.graft(D2, list(a), [leaf] * len(a)).tree
+                        for k in (1, 2) for a in itertools.combinations(range(D2.n), k)]
+    return ([(S, T) for S in small_trees(4) for T in small_trees(5)]
+            + [(S, V) for S in (C2, D1) for V in witnesses])
+
+
+@pytest.mark.parametrize("block_cells", [kernels._BLOCK_CELLS, 1])
+def test_psc_matches_per_segment_reference(monkeypatch, block_cells):
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", block_cells)
+    for S, T in _psc_pairs():
+        got, want = tc.enumerate_psc(S, T).rows, enumerate_psc_loop(S, T).rows
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), (S, T)
+        assert got.tobytes() == want.tobytes(), (S, T)
+
+
+def test_psc_budget_is_exact_in_one_connection_rows_call(monkeypatch):
+    calls = []
+    rows = kernels.connection_rows
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "connection_rows", counted)
+    D2 = tc.doubling_tree(tc.doubling_tree(C2).tree).tree
+    for S, T in [(C2, tc.chain(4)), (C2, D2), (tc.doubling_tree(C2).tree, D2)]:
+        size = len(enumerate_psc_loop(S, T))
+        calls.clear()
+        assert len(tc.enumerate_psc(S, T, tc.Budget(max_hom=size))) == size
+        assert len(calls) == 1
+        with pytest.raises(BudgetExceededError, match="partial strong pairs") as info:
+            tc.enumerate_psc(S, T, tc.Budget(max_hom=size - 1))
+        assert info.value.kind == "max_hom"
 
 
 def test_all_members_validate():

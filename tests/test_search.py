@@ -219,6 +219,15 @@ def test_arrow_single_color_always_arrows():
     assert cert.verdict == "arrows"
 
 
+@pytest.mark.parametrize("check, mode", [(tc.arrow_check, "fsat"),
+                                         (tc.degree_at_witness, "Fast")],
+                         ids=["arrow_check", "degree_at_witness"])
+def test_unknown_mode_is_an_error(check, mode):
+    # A mistyped mode must not run canonical mode without a word.
+    with pytest.raises(ValueError, match=r"mode must be one of \('canonical', 'fast'\)"):
+        check(C2, C3, tc.chain(5), 2, tc.INC_INJ, mode=mode)
+
+
 def test_arrow_budget_unknown():
     tiny = tc.Budget(max_nodes=1)
     cert = tc.arrow_check(C2, C3, tc.chain(6), 2, tc.INC_INJ, budget=tiny)

@@ -22,4 +22,8 @@ def test_traced_names_resolve_and_the_probe_counts_embeddings(monkeypatch):
     finally:
         tracer.uninstall()
     assert kernels.embedding_search is search
-    assert tracing.aggregate(tracer.spans)["counts"]["kernels.embedding_search.rows"] > 0
+    totals = tracing.aggregate(tracer.spans)
+    assert totals["counts"]["kernels.embedding_search.rows"] > 0
+    # The psc layer is tagged by the name enumerate_psc.
+    assert totals["times"]["homsets.psc.s"] > 0
+    assert totals["counts"]["homsets.enumerate_psc.calls"] > 0
