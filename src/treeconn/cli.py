@@ -115,7 +115,18 @@ def export_dot(t: OrderedTree, labels: dict[int, str] | None = None) -> str:
     return "\n".join(lines)
 
 
-def _labels_from_table(path: str) -> dict[int, str]:
+def _check_labeled(name: str, vertices, n: int) -> None:
+    """Refuse a labels field that names a vertex outside the n-vertex tree."""
+    outside = [v for v in vertices if not 0 <= v < n]
+    if outside:
+        raise ValueError(f"labels field {name!r} names vertex {outside[0]}, "
+                         f"outside the {n}-vertex tree")
+
+
+def _labels_from_table(path: str, n: int) -> dict[int, str]:
+    """Labels for the vertices of an n-vertex tree from a construction
+    record: base vertex v on vertex_map[v], "b.1" and "b.2" on the doubles
+    of b."""
     rec = json.loads(Path(path).read_text())
     if not isinstance(rec, dict):
         raise ValueError("--labels table must be a JSON object")
@@ -123,12 +134,14 @@ def _labels_from_table(path: str) -> dict[int, str]:
         labels = {record_index(i): str(v) for v, i in enumerate(rec.get("vertex_map", []))}
     except TypeError:
         raise ValueError("labels field 'vertex_map' must be a list of vertices") from None
+    _check_labeled("vertex_map", labels, n)
     try:
-        for entry in rec.get("doubles", []):
-            b, b1, b2 = map(record_index, entry)
+        doubles = [tuple(map(record_index, entry)) for entry in rec.get("doubles", [])]
+        for b, b1, b2 in doubles:
             labels[b1], labels[b2] = f"{b}.1", f"{b}.2"
     except (TypeError, ValueError):
         raise ValueError("labels field 'doubles' must be a list of [base, first, second]") from None
+    _check_labeled("doubles", [v for _, b1, b2 in doubles for v in (b1, b2)], n)
     return labels
 
 
@@ -274,7 +287,7 @@ def _cmd_functor(args) -> int:
 def _cmd_export(args) -> int:
     t = load_tree(args.tree)
     if args.dot:
-        labels = _labels_from_table(args.labels) if args.labels else None
+        labels = _labels_from_table(args.labels, t.n) if args.labels else None
         _emit(export_dot(t, labels), args.out)
     elif args.json:
         _emit(dump_tree(t), args.out)

@@ -9,7 +9,11 @@ Rigid surjections (``rigid_count``, ``rigid_fill``) share the mixed-radix
 expansion, one skeleton per pair.  All are plain numpy, in fixed-size blocks.
 
 The loop kernels (the two coloring searches and the unused ``pair_filter``)
-are compiled with numba when it imports and run interpreted otherwise.
+are compiled with numba when it imports and run interpreted otherwise, on
+memoryviews of their array arguments, whose elements read as Python ints.
+The searches undo each step from flat per-depth trails, sized by the
+copies: at most m entries each for the arrow search's mixed copies and
+forbids, m * min(r, copy width) for the degree search, with m copies.
 ``TREECONN_BACKEND=python`` selects the interpreted code;
 ``TREECONN_BACKEND=numba`` demands numba and fails at import without it.
 ``perfbench/run.py`` measures both kinds end to end and per kernel.
@@ -17,6 +21,7 @@ are compiled with numba when it imports and run interpreted otherwise.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -41,13 +46,32 @@ BACKEND = "numba" if JIT_ENABLED else "python"
 
 
 def _jit(fn):
+    """Compile a loop kernel with numba, or else run it on memoryviews.
+
+    Interpreted, every ndarray argument is passed as a memoryview of the same
+    buffer (no copy), so each element access makes a Python int instead of
+    a numpy scalar.  Callers pass arrays either way; ``py_func`` gives the
+    kernel itself, to run on the arrays as they are.
+    """
     if JIT_ENABLED:
         return _njit(cache=True)(fn)
-    return fn
+
+    @functools.wraps(fn)
+    def on_memoryviews(*args):
+        return fn(*[memoryview(a) if isinstance(a, np.ndarray) else a for a in args])
+
+    on_memoryviews.py_func = fn
+    return on_memoryviews
+
+
+def _jit_helper(fn):
+    """Compile a helper that compiled loop kernels call; interpreted, it runs
+    as written, on the memoryviews its kernel already holds."""
+    return _njit(cache=True)(fn) if JIT_ENABLED else fn
 
 
 def py_func(kernel):
-    """The interpreted version of a kernel (itself, when not compiled)."""
+    """The uncompiled kernel, which runs on whatever arrays it is given."""
     return getattr(kernel, "py_func", kernel)
 
 
@@ -90,8 +114,8 @@ def pair_filter(surjs, embs, caps):
 
 @_jit
 def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
-                     col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen,
-                     state, node_budget, forbid, nforb, fbuf, flen):
+                     col, nxt, maxu, ccnt, ccol, cmix, utrail, ustart,
+                     state, node_budget, forbid, nforb, ftrail, fstart):
     """Resumable depth-first search for a coloring with no monochromatic copy.
 
     Items are colored in the order given by ``order`` with colors tried
@@ -101,19 +125,22 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
     coloring).  Each color tried counts one node.
 
     Forward checking: a copy whose assigned items all have color c, with one
-    item u left unassigned, forbids c on u.  forbid[u, c] counts the copies
-    forbidding c on u, nforb[u] the colors forbidden on u; the caller seeds
-    them with every color on the item of each one-item copy.  A forbidden
-    color is tried and skipped, and a step after which some item has all r
-    colors forbidden is undone at once; with a one-item copy the search is
-    exhausted before the first step.  Pruned subtrees hold no bad coloring,
-    so the first hit is the same as without the pruning.
+    item u left unassigned, forbids c on u.  forbid[u * r + c] counts the
+    copies forbidding c on u, nforb[u] the colors forbidden on u; the caller
+    seeds them with every color on the item of each one-item copy.  A
+    forbidden color is tried and skipped, and a step after which some item
+    has all r colors forbidden is undone at once; with a one-item copy the
+    search is exhausted before the first step.  Pruned subtrees hold no bad
+    coloring, so the first hit is the same as without the pruning.
 
     Per-copy state: ccnt assigned items, ccol the color of the first, cmix
     whether two colors are present.  The step at depth d records the copies
-    it made mixed in ubuf[d, :ulen[d]] and its forbids, as u * r + c, in
-    fbuf[d, :flen[d]].  state = [depth, explored]; all arrays persist
-    across calls so the search can be paused on the node budget and resumed.
+    it made mixed in utrail[ustart[d]:ustart[d + 1]] and its forbids, as
+    u * r + c, in ftrail[fstart[d]:fstart[d + 1]]; ustart[0] = fstart[0] = 0.
+    Along one path a copy turns mixed at most once and forbids at most once,
+    so each trail needs one entry per copy.  state = [depth, explored]; all
+    arrays persist across calls so the search can be paused on the node
+    budget and resumed.
     """
     n = order.shape[0]
     d = state[0]
@@ -142,39 +169,40 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
                 state[1] = explored
                 return PAUSED
             explored += 1
-            if forbid[it, c] == 0:
+            if forbid[it * r + c] == 0:
                 break
             c += 1
         if c < lim:
             col[it] = c
-            ul = 0
-            fl = 0
+            ul = ustart[d]
+            fl = fstart[d]
             wiped = False
-            for tpos in range(istart[it], istart[it + 1]):
-                k = icopies[tpos]
-                if ccnt[k] == 0:
+            for k in icopies[istart[it]:istart[it + 1]]:
+                cnt = ccnt[k]
+                if cnt == 0:
                     ccol[k] = c
                 elif cmix[k] == 0 and ccol[k] != c:
                     cmix[k] = 1
-                    ubuf[d, ul] = k
+                    utrail[ul] = k
                     ul += 1
-                ccnt[k] += 1
-                if ccnt[k] + 1 == clen[k] and cmix[k] == 0:
+                cnt += 1
+                ccnt[k] = cnt
+                if cnt + 1 == clen[k] and cmix[k] == 0:
                     u = it
                     for ipos in range(cstart[k], cstart[k + 1]):
                         u = citems[ipos]
                         if col[u] < 0:
                             break
-                    f = ccol[k]
-                    if forbid[u, f] == 0:
+                    e = u * r + ccol[k]
+                    if forbid[e] == 0:
                         nforb[u] += 1
                         if nforb[u] == r:
                             wiped = True
-                    forbid[u, f] += 1
-                    fbuf[d, fl] = u * r + f
+                    forbid[e] += 1
+                    ftrail[fl] = e
                     fl += 1
-            ulen[d] = ul
-            flen[d] = fl
+            ustart[d + 1] = ul
+            fstart[d + 1] = fl
             nxt[d] = c + 1
             if not wiped:
                 mu = maxu[d]
@@ -193,20 +221,18 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
                 state[1] = explored
                 return EXHAUSTED
         prev = order[d]
-        for tpos in range(istart[prev], istart[prev + 1]):
-            ccnt[icopies[tpos]] -= 1
-        for j in range(ulen[d]):
-            cmix[ubuf[d, j]] = 0
-        for j in range(flen[d]):
-            u = fbuf[d, j] // r
-            f = fbuf[d, j] - u * r
-            forbid[u, f] -= 1
-            if forbid[u, f] == 0:
-                nforb[u] -= 1
+        for k in icopies[istart[prev]:istart[prev + 1]]:
+            ccnt[k] -= 1
+        for k in utrail[ustart[d]:ustart[d + 1]]:
+            cmix[k] = 0
+        for e in ftrail[fstart[d]:fstart[d + 1]]:
+            forbid[e] -= 1
+            if forbid[e] == 0:
+                nforb[e // r] -= 1
         col[prev] = -1
 
 
-@_jit
+@_jit_helper
 def _degree_bound(hist, cap):
     """Least copy value below cap (hist[v] copies have value v), else cap."""
     for v in range(cap):
@@ -217,7 +243,7 @@ def _degree_bound(hist, cap):
 
 @_jit
 def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
-               col, nxt, maxu, cval, cmask, ubuf, ulen,
+               col, nxt, maxu, cval, cmask, utrail, ustart,
                state, best_col, node_budget, hist):
     """Resumable branch-and-bound for max over colorings of the minimum
     number of colors attained on a copy.
@@ -228,9 +254,11 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
     copies of value v < cap, where cap = min(r, smallest copy size) is an
     a-priori upper bound, so the bound at a node, min(cap, min cval), is a
     scan of cap entries; at a leaf it is the attained minimum.  The step at
-    depth d records the copies it gave a new color in ubuf[d, :ulen[d]]; the
-    other copies of the item took a repeat.  A color is kept when the bound
-    after it exceeds the best so far; each color tried counts one node.
+    depth d records the copies it gave a new color in
+    utrail[ustart[d]:ustart[d + 1]] (ustart[0] = 0); the other copies of the
+    item took a repeat.  Along one path a copy gains at most min(r, clen[k])
+    colors, which bounds the trail.  A color is kept when the bound after
+    it exceeds the best so far; each color tried counts one node.
 
     state = [depth, explored, best]; the search stops early when best
     reaches cap.  best_col holds the witness coloring for the current best.
@@ -273,13 +301,13 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
                     return PAUSED
                 explored += 1
                 col[it] = c
-                bit = np.int64(1) << c
-                ul = 0
-                for tpos in range(istart[it], istart[it + 1]):
-                    k = icopies[tpos]
-                    if cmask[k] & bit == 0:
-                        cmask[k] |= bit
-                        ubuf[d, ul] = k
+                bit = 1 << c
+                ul = ustart[d]
+                for k in icopies[istart[it]:istart[it + 1]]:
+                    mask = cmask[k]
+                    if mask & bit == 0:
+                        cmask[k] = mask | bit
+                        utrail[ul] = k
                         ul += 1
                     else:
                         v = cval[k]
@@ -288,7 +316,7 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
                             hist[v] -= 1
                         if v - 1 < cap:
                             hist[v - 1] += 1
-                ulen[d] = ul
+                ustart[d + 1] = ul
                 nxt[d] = c + 1
                 if _degree_bound(hist, cap) > best:
                     mu = maxu[d]
@@ -308,12 +336,12 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
                     state[2] = best
                     return EXHAUSTED
         prev = order[d]
-        bit = np.int64(1) << col[prev]
-        j = 0
-        for tpos in range(istart[prev], istart[prev + 1]):
-            k = icopies[tpos]
-            if j < ulen[d] and ubuf[d, j] == k:
-                cmask[k] &= ~bit
+        keep = ~(1 << col[prev])
+        j = ustart[d]
+        end = ustart[d + 1]
+        for k in icopies[istart[prev]:istart[prev + 1]]:
+            if j < end and utrail[j] == k:
+                cmask[k] &= keep
                 j += 1
             else:
                 v = cval[k]

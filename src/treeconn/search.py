@@ -138,8 +138,7 @@ def _csr(rows: np.ndarray, n_items: int):
     degree = np.bincount(citems, minlength=n_items)
     istart = np.concatenate(([0], np.cumsum(degree)))
     icopies = np.argsort(citems, kind="stable") // width
-    maxdeg = int(degree.max(initial=0))
-    return cstart, citems, clen, istart, icopies, maxdeg
+    return cstart, citems, clen, istart, icopies
 
 
 def _order(mode: str, istart: np.ndarray, n_items: int) -> np.ndarray:
@@ -215,23 +214,25 @@ def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
 
 def _search_arrays(fam: CopyFamily, mode: str):
     """The kernel arguments both searches share: the distinct copies in CSR
-    form and the item order, then col, nxt, maxu and the per-depth undo
-    buffer ubuf/ulen, one row per depth as wide as the most copies through an item."""
+    form and the item order, then col, nxt and maxu."""
     n = fam.n_items
     _, first = np.unique(_row_keys(fam.rows), return_index=True)
-    cstart, citems, clen, istart, icopies, maxdeg = _csr(fam.rows[first], n)
-    rows, width = max(n, 1), max(maxdeg, 1)
+    cstart, citems, clen, istart, icopies = _csr(fam.rows[first], n)
     return (
         (cstart, citems, clen, istart, icopies, _order(mode, istart, n)),
         (np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64),
          np.full(n + 1, -1, dtype=np.int64)),
-        (np.zeros((rows, width), dtype=np.int64), np.zeros(rows, dtype=np.int64)),
     )
+
+
+def _trail(n_items: int, size: int):
+    """An undo trail of ``size`` entries and its n_items + 1 per-depth starts."""
+    return np.zeros(size, dtype=np.int64), np.zeros(n_items + 1, dtype=np.int64)
 
 
 def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float):
     """Run the arrow DFS over fam; returns (status, coloring or None, explored)."""
-    csr, (col, nxt, maxu), undo = _search_arrays(fam, mode)
+    csr, (col, nxt, maxu) = _search_arrays(fam, mode)
     cstart, citems, clen = csr[:3]
     n, m = fam.n_items, len(clen)
     # Colors past the n-th are never tried, so min(r, n) columns suffice.
@@ -241,13 +242,15 @@ def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0:
     # A one-item copy forbids every color on its item.
     np.add.at(forbid, citems[cstart[:-1][clen == 1]], 1)
     nforb = np.count_nonzero(forbid, axis=1).astype(np.int64)
-    fbuf, flen = (np.zeros(a.shape, dtype=np.int64) for a in undo)
+    forbid = forbid.ravel()  # the kernel reads forbid[u * r_eff + c]
+    # Along one path each copy turns mixed once and forbids once at most.
+    mixed, forbids = _trail(n, m), _trail(n, m)
     state = np.zeros(2, dtype=np.int64)
 
     def call(limit):
         return kernels.dfs_bad_coloring(
-            *csr, r_eff, col, nxt, maxu, ccnt, ccol, cmix, *undo, state, limit,
-            forbid, nforb, fbuf, flen,
+            *csr, r_eff, col, nxt, maxu, ccnt, ccol, cmix, *mixed, state, limit,
+            forbid, nforb, *forbids,
         )
 
     status = _run_chunks(call, state, budget, t0)
@@ -306,9 +309,11 @@ def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float
             f"degree search handles at most {_MAX_MASK_COLORS} colors; "
             f"{r_eff} are in play ({n} items, r={r})"
         )
-    csr, (col, nxt, maxu), undo = _search_arrays(fam, mode)
+    csr, (col, nxt, maxu) = _search_arrays(fam, mode)
     clen = csr[2]
     cap = min(r_eff, int(clen.min()))
+    # Along one path a copy gains each of at most min(r, its size) colors once.
+    undo = _trail(n, len(clen) * min(r_eff, int(clen.max())))
     cval = clen.copy()
     cmask = np.zeros(len(clen), dtype=np.int64)
     hist = np.zeros(cap, dtype=np.int64)

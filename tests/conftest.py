@@ -581,8 +581,7 @@ def csr_loop(copies, n_items):
     for m in member:
         istart.append(istart[-1] + len(m))
     icopies = [i for m in member for i in m]
-    maxdeg = max((len(m) for m in member), default=0)
-    return cstart, citems, clen, istart, icopies, maxdeg
+    return cstart, citems, clen, istart, icopies
 
 
 def dfs_bad_coloring_loop(cstart, citems, clen, istart, icopies, order, r,

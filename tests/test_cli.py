@@ -206,6 +206,20 @@ def test_export_labels(tmp_path, capsys):
     assert 'n3 [label="1.2"]' in out
 
 
+@pytest.mark.parametrize("table, field", [
+    ({"vertex_map": [0, 99], "doubles": [[1, -5, 40]]}, "'vertex_map' names vertex 99"),
+    ({"vertex_map": [0, 1], "doubles": [[1, -5, 40]]}, "'doubles' names vertex -5"),
+    ({"doubles": [[1, 2, 4]]}, "'doubles' names vertex 4"),
+], ids=["vertex-map", "doubles-negative", "doubles-past-the-end"])
+def test_export_labels_outside_the_tree_exit_3(tmp_path, capsys, table, field):
+    # A table for another tree would label the wrong vertices or none.
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(table))
+    code, out, err = run_cli(capsys, "export", "((()()))", "--dot", "--labels", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and field in err and "4-vertex tree" in err
+
+
 def test_invariant_and_functor_commands(tmp_path, capsys):
     dbl = tc.doubling_tree(tc.chain(2))
     rec = json.dumps(tc.connection_to_record(dbl.connection_for({1})))

@@ -58,6 +58,20 @@ def test_to_strong_examples():
     assert p2.surj.values == (0, 1, 1) and p2.top == 2
 
 
+def test_to_strong_outputs_are_strong_partial_pairs():
+    # to_strong validates only its input; every output over these Hom-sets
+    # passes validate_connection and is a member of the psc Hom-set.
+    D1 = tc.doubling_tree(C2).tree
+    for T in (D1, tc.doubling_tree(D1).tree):
+        conns = tc.enumerate_connections(C2, T)
+        outs = [tc.to_strong(c) for c in conns]
+        for p in outs:
+            assert p.category == tc.PSC
+            tc.validate_connection(p)
+        assert {p.key() for p in outs} == {p.key() for p in tc.enumerate_psc(C2, T)}
+        assert len(outs) == len(conns) > 0
+
+
 def test_to_strong_section():
     for S in tc.all_trees_up_to(3):
         for T in tc.all_trees_up_to(4):

@@ -1,10 +1,12 @@
 """The loop kernels (the two coloring searches and the unused pair_filter)
-must agree with the brute-force oracles in conftest and, compiled, exactly
-with their interpreted fallbacks.  The numpy kernels (the embedding frontier,
-pair caps, the mixed-radix expansion behind connection_rows, rigid_count and
-rigid_fill, the doubling sweep) and the pruned searches must agree with the
-loop references in conftest, and must check max_hom before they allocate."""
+must agree with the brute-force oracles in conftest and, compiled or run
+on memoryviews, exactly with the plain function on numpy arrays.  The numpy
+kernels (the embedding frontier, pair caps, the mixed-radix expansion behind
+connection_rows, rigid_count and rigid_fill, the doubling sweep) and the
+pruned searches must agree with the loop references in conftest, and must
+check max_hom before they allocate."""
 
+import hashlib
 import importlib.util
 import itertools
 import os
@@ -236,45 +238,100 @@ D1 = tc.doubling_tree(C2).tree
 D2 = tc.doubling_tree(D1).tree
 
 
+def _undo_rows(csr):
+    """The loop references' undo buffer: one row per depth, as wide as the
+    most copies through an item."""
+    degree = np.diff(csr[3])
+    rows, width = max(len(degree), 1), max(int(degree.max(initial=0)), 1)
+    return np.zeros((rows, width), dtype=np.int64), np.zeros(rows, dtype=np.int64)
+
+
 def _bad_coloring_reference(fam, r, mode):
-    csr, (col, nxt, maxu), undo = search._search_arrays(fam, mode)
+    csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
     ncopies = len(csr[2])
     per_copy = [np.zeros(ncopies, dtype=np.int64) for _ in range(3)]  # ccnt, ccol, cmix
     state = np.zeros(2, dtype=np.int64)
-    status = dfs_bad_coloring_loop(*csr, r, col, nxt, maxu, *per_copy, *undo, state, 10**9)
+    status = dfs_bad_coloring_loop(*csr, r, col, nxt, maxu, *per_copy, *_undo_rows(csr),
+                                   state, 10**9)
     coloring = tuple(int(c) for c in col) if status == kernels.FOUND else None
     return status, coloring, int(state[1])
 
 
 def _degree_reference(fam, r, mode):
-    csr, (col, nxt, maxu), undo = search._search_arrays(fam, mode)
+    csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
     clen = csr[2]
     r_eff = min(r, fam.n_items)
     ccnt, cmask = np.zeros(len(clen), dtype=np.int64), np.zeros(len(clen), dtype=np.int64)
     best_col = np.full(fam.n_items, -1, dtype=np.int64)
     state = np.array([0, 0, 0, min(r_eff, int(clen.min()))], dtype=np.int64)
-    status = dfs_degree_loop(*csr, r_eff, len(clen), col, nxt, maxu, ccnt, cmask, *undo,
-                             state, best_col, 10**9)
+    status = dfs_degree_loop(*csr, r_eff, len(clen), col, nxt, maxu, ccnt, cmask,
+                             *_undo_rows(csr), state, best_col, 10**9)
     return status, int(state[2]), tuple(int(c) for c in best_col), int(state[1])
 
 
-def test_dfs_bad_backends_agree():
-    fam = tc.copy_family(C2, C3, tc.chain(5), tc.INC_INJ)
-    results = []
-    for impl in (kernels.dfs_bad_coloring, kernels.py_func(kernels.dfs_bad_coloring)):
-        csr, (col, nxt, maxu), (ubuf, ulen) = search._search_arrays(fam, "canonical")
-        n, ncopies = fam.n_items, len(csr[2])
-        ccnt, ccol, cmix = (np.zeros(ncopies, dtype=np.int64) for _ in range(3))
-        forbid = np.zeros((n, 2), dtype=np.int64)  # no one-item copies: nothing forbidden yet
-        nforb = np.zeros(n, dtype=np.int64)
-        fbuf, flen = np.zeros_like(ubuf), np.zeros_like(ulen)
-        state = np.zeros(2, dtype=np.int64)
-        status = impl(*csr, 2, col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen, state, 10**6,
-                      forbid, nforb, fbuf, flen)
-        results.append((status, tuple(int(c) for c in col), int(state[1])))
-    assert results[0] == results[1]
-    assert results[0][0] == kernels.FOUND
-    assert results[0][:2] == _bad_coloring_reference(fam, 2, "canonical")[:2]
+def _recorded_calls(name, run):
+    """Run ``run()`` with kernels.<name> recorded: per call, copies of its
+    arguments before it, its status and copies of its arrays after it."""
+    kernel = getattr(kernels, name)
+    calls = []
+
+    def recorded(*args):
+        before = [np.copy(a) if isinstance(a, np.ndarray) else a for a in args]
+        status = kernel(*args)
+        calls.append((before, status, [np.copy(a) for a in args if isinstance(a, np.ndarray)]))
+        return status
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, name, recorded)
+        run()
+    return calls
+
+
+def _assert_backends_agree(kernel, calls):
+    """Each recorded call of ``kernel`` (numba, or the interpreted kernel on
+    memoryviews) returns the same status and leaves every array as
+    ``kernels.py_func(kernel)`` does on plain numpy arrays."""
+    assert kernels.py_func(kernel) is not kernel
+    assert len(calls) > 1
+    for before, status, after in calls:
+        args = [np.copy(a) if isinstance(a, np.ndarray) else a for a in before]
+        assert kernels.py_func(kernel)(*args) == status
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, after, strict=True))
+
+
+def test_interpreted_kernels_run_on_memoryviews():
+    kind = kernels._jit(lambda a, r: (type(a), type(a[0]), r))
+    got = kind(np.arange(3, dtype=np.int64), 2)
+    if kernels.JIT_ENABLED:
+        assert got[1] is not int
+    else:
+        assert got == (memoryview, int, 2)
+
+
+def test_dfs_bad_backends_agree(monkeypatch):
+    # Chunks of 7 nodes, so the calls resume from every kind of state; the
+    # conn-root family forbids colors and wipes items out.
+    monkeypatch.setattr(search, "_CHUNK", 7)
+    for fam in (tc.copy_family(C2, C3, tc.chain(5), tc.INC_INJ),
+                tc.copy_family(C2, D1, D2, tc.CONN_ROOT)):
+        out = []
+        calls = _recorded_calls("dfs_bad_coloring", lambda: out.append(
+            search._search_bad_coloring(fam, 2, tc.DEFAULT_BUDGET, "canonical", time.monotonic())))
+        _assert_backends_agree(kernels.dfs_bad_coloring, calls)
+        assert out[0][0] == kernels.FOUND
+        assert out[0][:2] == _bad_coloring_reference(fam, 2, "canonical")[:2]
+
+
+def test_dfs_degree_backends_agree(monkeypatch):
+    monkeypatch.setattr(search, "_CHUNK", 7)
+    for V in (tc.chain(5), tc.chain(6)):
+        fam = tc.copy_family(C2, C3, V, tc.INC_INJ)
+        out = []
+        calls = _recorded_calls("dfs_degree", lambda: out.append(
+            search._search_degree(fam, 3, tc.DEFAULT_BUDGET, "canonical", time.monotonic())))
+        _assert_backends_agree(kernels.dfs_degree, calls)
+        assert out[0] == _degree_reference(fam, 3, "canonical")
 
 
 # chain9 at r = 3 is left out: the reference needs 5.5M nodes (about a minute).
@@ -298,6 +355,108 @@ def test_dfs_bad_coloring_matches_loop_reference(mode):
         assert explored <= want_explored, (V, r, cat)
         pruned += explored < want_explored
     assert pruned > 0
+
+
+def _digest(coloring):
+    """The first 12 hex digits of the sha256 of a coloring's digits."""
+    if coloring is None:
+        return None
+    return hashlib.sha256("".join(map(str, coloring)).encode()).hexdigest()[:12]
+
+
+# (status, coloring digest, explored) of every ARROW_CASES search, as the
+# searches with n_items x (most copies through an item) undo rows found them.
+# The chain cases agree in both modes.
+_F, _E = kernels.FOUND, kernels.EXHAUSTED
+_CHAIN_ARROWS = [
+    (_F, "7a3e6b16cb75", 4), (_F, "a78b7c21dc8e", 12), (_F, "02167d93637f", 35),
+    (_E, None, 319), (_E, None, 663), (_E, None, 1359), (_E, None, 2759),
+    (_F, "7a3e6b16cb75", 4), (_F, "1e45012c459e", 10), (_F, "d7ec30f5fa5d", 24),
+    (_F, "b3ee8a65611d", 60), (_F, "9f9b84bbdc9d", 603), (_F, "4856a9301524", 12222),
+]
+PINNED_ARROWS = {
+    "canonical": _CHAIN_ARROWS + [(_F, "7824da01c2ed", 350), (_F, "ad66a7236819", 120),
+                                  (_F, "db40f30813f1", 114), (_F, "4436516c46bd", 585)],
+    "fast": _CHAIN_ARROWS + [(_F, "8062608b7a24", 350), (_F, "0cc9d03a372e", 121),
+                             (_F, "fed3ce0d8994", 114), (_F, "05edf52fb762", 632)],
+}
+# (status, degree, witness, explored) at r = 3 on chain3..chain7, both modes.
+PINNED_DEGREES = [
+    (_E, 3, "012", 8), (_E, 3, "012210", 26), (_E, 2, "0000112211", 49),
+    (_E, 2, "000001122212211", 146), (_E, 2, "000001112202120210100", 2087),
+]
+
+
+@pytest.mark.parametrize("mode", ["canonical", "fast"])
+def test_dfs_searches_match_pinned_results(mode):
+    # How the undo state is stored must not change the search: verdicts,
+    # colorings and node counts are the pinned ones exactly.
+    got = []
+    for S, T, V, r, cat in ARROW_CASES:
+        status, coloring, explored = search._search_bad_coloring(
+            tc.copy_family(S, T, V, cat), r, tc.DEFAULT_BUDGET, mode, time.monotonic())
+        got.append((status, _digest(coloring), explored))
+    assert got == PINNED_ARROWS[mode]
+    got = []
+    for n in range(3, 8):
+        status, k, witness, explored = search._search_degree(
+            tc.copy_family(C2, C3, tc.chain(n), tc.INC_INJ), 3, tc.DEFAULT_BUDGET, mode,
+            time.monotonic())
+        got.append((status, k, "".join(map(str, witness)), explored))
+    assert got == PINNED_DEGREES
+
+
+def test_search_trails_stay_within_their_bounds(monkeypatch):
+    # One node per kernel call, so each trail end a step writes to
+    # ustart/fstart is seen before a later step can overwrite it.  Along one
+    # path a copy turns mixed once and forbids once at most (arrow search),
+    # and gains each of at most min(r, its size) colors once (degree search).
+    monkeypatch.setattr(search, "_CHUNK", 1)
+    used = {"mixed": 0, "forbids": 0, "degree": 0}
+
+    def arrow(*args):
+        status = dfs_bad(*args)
+        m = len(args[2])
+        assert args[14].max() <= m and args[20].max() <= m
+        used["mixed"] = max(used["mixed"], int(args[14].max()))
+        used["forbids"] = max(used["forbids"], int(args[20].max()))
+        return status
+
+    def degree(*args):
+        status = dfs_deg(*args)
+        clen, r = args[2], args[6]
+        assert args[14].max() <= len(clen) * min(r, int(clen.max()))
+        used["degree"] = max(used["degree"], int(args[14].max()))
+        return status
+
+    dfs_bad, dfs_deg = kernels.dfs_bad_coloring, kernels.dfs_degree
+    monkeypatch.setattr(kernels, "dfs_bad_coloring", arrow)
+    monkeypatch.setattr(kernels, "dfs_degree", degree)
+    # The four conn families forbid; chain6 and chain7 at r = 2 exhaust.
+    for S, T, V, r, cat in ARROW_CASES[-4:] + ARROW_CASES[3:5]:
+        search._search_bad_coloring(tc.copy_family(S, T, V, cat), r, tc.DEFAULT_BUDGET,
+                                    "canonical", time.monotonic())
+    for S, T, V, r, cat in DEGREE_CASES:
+        search._search_degree(tc.copy_family(S, T, V, cat), r, tc.DEFAULT_BUDGET,
+                              "canonical", time.monotonic())
+    assert min(used.values()) > 0
+
+
+def test_arrow_search_memory_follows_the_copies():
+    # conn-root chain2 -> doubling -> doubling^2: 4,203 copies of 12 over 448
+    # items.  Undo rows of n_items x (most copies through an item) made a
+    # 6.4 MB peak; the trails hold one entry per copy, and what is left is
+    # mostly the copies' dedup.
+    fam = tc.copy_family(C2, D1, D2, tc.CONN_ROOT)
+    tracemalloc.start()
+    try:
+        status, _, explored = search._search_bad_coloring(
+            fam, 2, tc.DEFAULT_BUDGET, "canonical", time.monotonic())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (status, explored) == (kernels.FOUND, 585)
+    assert peak < 2 << 20
 
 
 DEGREE_CASES = (
@@ -360,18 +519,18 @@ def test_connection_rows_do_not_depend_on_block_size(monkeypatch):
 
 def test_resumable_search_pauses_and_resumes():
     fam = tc.copy_family(C2, C3, tc.chain(6), tc.INC_INJ)
-    csr, (col, nxt, maxu), (ubuf, ulen) = search._search_arrays(fam, "canonical")
+    csr, (col, nxt, maxu) = search._search_arrays(fam, "canonical")
     n, ncopies = fam.n_items, len(csr[2])
     ccnt, ccol, cmix = (np.zeros(ncopies, dtype=np.int64) for _ in range(3))
-    forbid = np.zeros((n, 2), dtype=np.int64)  # no one-item copies: nothing forbidden yet
+    forbid = np.zeros(n * 2, dtype=np.int64)  # no one-item copies: nothing forbidden yet
     nforb = np.zeros(n, dtype=np.int64)
-    fbuf, flen = np.zeros_like(ubuf), np.zeros_like(ulen)
+    mixed, forbids = search._trail(n, ncopies), search._trail(n, ncopies)
     state = np.zeros(2, dtype=np.int64)
     pauses = 0
     while True:
         status = kernels.dfs_bad_coloring(
-            *csr, 2, col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen, state, int(state[1]) + 50,
-            forbid, nforb, fbuf, flen,
+            *csr, 2, col, nxt, maxu, ccnt, ccol, cmix, *mixed, state, int(state[1]) + 50,
+            forbid, nforb, *forbids,
         )
         if status != kernels.PAUSED:
             break
