@@ -6,7 +6,7 @@ function, so concurrent read access is safe.  Hot loops run through the
 kernels module, compiled when numba imports (see ``kernels`` for the flag).
 """
 
-from .config import DEFAULT_BUDGET, Budget, RunConfig
+from .config import DEFAULT_BUDGET, Budget
 from .constructions import (
     DoublingResult,
     GraftResult,

@@ -9,13 +9,14 @@ import json
 import re
 import sys
 from dataclasses import fields, replace
+from functools import cache
 from pathlib import Path
 
 from .colorings import annotate, invariant_set, lower_top, prune_top, to_strong
-from .config import Budget, RunConfig
+from .config import MODES, Budget
 from .constructions import add_root, doubling_tree, graft, plus_leaf, star_extend
 from .errors import BudgetExceededError, ParseError
-from .homsets import enumerate_hom, enumerate_rigid_surjections
+from .homsets import enumerate_hom
 from .morphisms import (
     CONN,
     CONN_ROOT,
@@ -40,23 +41,10 @@ from .trees import (
     tree_from_record,
 )
 
-CAT_FLAGS = {
-    "incinj": INC_INJ,
-    "rigid": RIGID,
-    "conn": CONN,
-    "conn-root": CONN_ROOT,
-    "psc": PSC,
-}
+# The --cat choices, sorted as argparse lists them; enum also takes emb.
+SEARCH_CATEGORIES = (CONN, CONN_ROOT, INC_INJ, PSC, RIGID)
 
-ENUM_KINDS = {
-    "emb": EMB,
-    "embeddings": EMB,
-    "incinj": INC_INJ,
-    "rigid": RIGID,
-    "conn": CONN,
-    "conn-root": CONN_ROOT,
-    "psc": PSC,
-}
+_TREE_BUILDERS = {"plus-leaf": plus_leaf, "star": star_extend}
 
 _CHAIN_RE = re.compile(r"^chain(\d+)$")
 
@@ -145,11 +133,11 @@ def _labels_from_table(path: str, n: int) -> dict[int, str]:
     return labels
 
 
-def _config_from_args(args) -> RunConfig:
-    """The --config file's values over the defaults, then the --budget-*
-    flags (stored under the Budget field names) over those.  A key that
-    names neither a Budget field nor ``mode`` is an error, not a silently
-    ignored limit."""
+def _config_from_args(args) -> tuple[Budget, str]:
+    """The budget and the mode: the --config file's values over the
+    defaults, then the --budget-* flags (stored under the Budget field
+    names) and --mode over those.  A key that names neither a Budget field
+    nor ``mode`` is an error, not a silently ignored limit."""
     keys = json.loads(Path(args.config).read_text()) if args.config else {}
     if not isinstance(keys, dict):
         raise ValueError("--config file must hold a JSON object")
@@ -158,19 +146,21 @@ def _config_from_args(args) -> RunConfig:
     unknown = sorted(set(keys) - set(names))
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
-    flags = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    return RunConfig(replace(Budget(**keys), **flags), args.mode or file_mode or "canonical")
+    flags = {n: v for n in names if (v := getattr(args, n, None)) is not None}
+    budget = replace(Budget(**keys), **flags)
+    mode = args.mode or file_mode or MODES[0]
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    return budget, mode
 
 
 def _cmd_enum(args) -> int:
-    cfg = _config_from_args(args)
-    category = ENUM_KINDS[args.kind]
+    budget, _ = _config_from_args(args)
     A = load_tree(args.source)
     B = load_tree(args.target)
-    if category == RIGID:
-        hom = enumerate_rigid_surjections(A, B, cfg.budget)
-    else:
-        hom = enumerate_hom(category, A, B, cfg.budget)
+    if args.kind == RIGID:  # rigid surjections A -> B are Hom(B, A)
+        A, B = B, A
+    hom = enumerate_hom(EMB if args.kind == "embeddings" else args.kind, A, B, budget)
     if args.count:
         _emit(str(len(hom)), args.out)
         return 0
@@ -180,57 +170,44 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    kind = args.kind
-    if kind != "add-root" and not args.inputs:
+    kind, inputs = args.kind, args.inputs
+    if kind != "add-root" and not inputs:
         raise ValueError(f"construct {kind} needs a tree argument")
+    if kind != "graft" and (len(inputs) > 1 or args.at is not None):
+        raise ValueError(f"construct {kind} takes one argument and no --at")
     if kind == "doubling":
-        result = doubling_tree(load_tree(args.inputs[0]))
+        result = doubling_tree(load_tree(inputs[0]))
         _emit(_dumps(result.to_record()), args.out)
         print(format_tree(result.tree), file=sys.stderr)
         return 0
     if kind == "graft":
-        T = load_tree(args.inputs[0])
+        T = load_tree(inputs[0])
         anchors = [int(x) for x in args.at.split(",")] if args.at else []
-        forests = [load_forest(a) for a in args.inputs[1:]]
+        forests = [load_forest(a) for a in inputs[1:]]
         result = graft(T, anchors, forests)
         _emit(_dumps(result.to_record()), args.out)
         return 0
     if kind == "add-root":
-        tree = add_root(load_forest(args.inputs[0] if args.inputs else "empty"))
-    elif kind == "plus-leaf":
-        tree = plus_leaf(load_tree(args.inputs[0]))
-    elif kind == "star":
-        tree = star_extend(load_tree(args.inputs[0]))
+        tree = add_root(load_forest(inputs[0] if inputs else "empty"))
     else:
-        raise ValueError(f"unknown construction {kind!r}")
+        tree = _TREE_BUILDERS[kind](load_tree(inputs[0]))
     _emit(dump_tree(tree) if args.json else format_tree(tree), args.out)
     return 0
 
 
-def _emit_certificate(cert, out: str | None) -> int:
-    """Emit the certificate record; an unknown one also names its limit on stderr."""
-    _emit(cert.to_json(), out)
+def _cmd_search(args) -> int:
+    """arrow or degree: emit the certificate record; an unknown one also
+    names its limit on stderr."""
+    budget, mode = _config_from_args(args)
+    trees = [load_tree(a) for a in (args.source, args.middle, args.witness)]
+    if args.command == "arrow":
+        cert = arrow_check(*trees, args.r, args.cat, budget, mode)
+    else:
+        _, cert = degree_at_witness(*trees, args.r, args.cat, budget, mode, at_most=args.at_most)
+    _emit(cert.to_json(), args.out)
     if cert.limit is not None:
         print(f"unknown: {cert.limit}", file=sys.stderr)
     return cert.exit_code
-
-
-def _cmd_arrow(args) -> int:
-    cfg = _config_from_args(args)
-    cert = arrow_check(
-        load_tree(args.source), load_tree(args.middle), load_tree(args.witness),
-        args.r, CAT_FLAGS[args.cat], cfg.budget, cfg.mode,
-    )
-    return _emit_certificate(cert, args.out)
-
-
-def _cmd_degree(args) -> int:
-    cfg = _config_from_args(args)
-    _, cert = degree_at_witness(
-        load_tree(args.source), load_tree(args.middle), load_tree(args.witness),
-        args.r, CAT_FLAGS[args.cat], cfg.budget, cfg.mode, at_most=args.at_most,
-    )
-    return _emit_certificate(cert, args.out)
 
 
 def _resolve_witness(which: str, T: OrderedTree) -> OrderedTree:
@@ -242,15 +219,15 @@ def _resolve_witness(which: str, T: OrderedTree) -> OrderedTree:
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
+    budget, _ = _config_from_args(args)
     S = load_tree(args.source)
     dbl = doubling_tree(S)
     V = _resolve_witness(args.witness, dbl.tree)
     if args.check == "lower-bound":
-        report = verify_lower_bound(S, V, cfg.budget)
+        report = verify_lower_bound(S, V, budget)
     else:  # no-ramsey
         w = dbl.connection_for({args.vertex})
-        report = verify_no_ramsey(S, dbl.tree, args.vertex, w.surj, w.emb, V, cfg.budget)
+        report = verify_no_ramsey(S, dbl.tree, args.vertex, w.surj, w.emb, V, budget)
     _emit(report.summary(), args.out)
     return 0 if report.ok else 1
 
@@ -296,15 +273,16 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared by every ``main`` call."""
     ap = argparse.ArgumentParser(
         prog="treeconn",
         description="Enumerate, construct, and exhaustively search morphisms "
         "between finite ordered trees.",
     )
-    ap.add_argument("--mode", choices=("canonical", "fast"), default=None)
+    ap.add_argument("--mode", choices=MODES, default=None)
     ap.add_argument("--config", help="JSON file of default budget/mode values; flags win")
-    ap.add_argument("--budget-max-tree", dest="max_tree_size", type=int)
     ap.add_argument("--budget-max-vertices", dest="max_vertices", type=int)
     ap.add_argument("--budget-max-hom", dest="max_hom", type=int)
     ap.add_argument("--budget-max-nodes", dest="max_nodes", type=int)
@@ -312,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", help="enumerate or count a Hom-set")
-    p.add_argument("kind", choices=sorted(ENUM_KINDS))
+    p.add_argument("kind", choices=sorted((*SEARCH_CATEGORIES, EMB, "embeddings")))
     p.add_argument("source")
     p.add_argument("target")
     p.add_argument("--count", action="store_true")
@@ -327,24 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_construct)
 
-    p = sub.add_parser("arrow", help="decide an arrow relation")
-    p.add_argument("source")
-    p.add_argument("middle")
-    p.add_argument("witness")
-    p.add_argument("--cat", choices=sorted(CAT_FLAGS), required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_arrow)
-
-    p = sub.add_parser("degree", help="compute the degree at a witness")
-    p.add_argument("source")
-    p.add_argument("middle")
-    p.add_argument("witness")
-    p.add_argument("--cat", choices=sorted(CAT_FLAGS), required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--at-most", type=int, default=None)
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_degree)
+    for name, text in (("arrow", "decide an arrow relation"),
+                       ("degree", "compute the degree at a witness")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("source")
+        p.add_argument("middle")
+        p.add_argument("witness")
+        p.add_argument("--cat", choices=SEARCH_CATEGORIES, required=True)
+        p.add_argument("-r", type=int, required=True)
+        if name == "degree":
+            p.add_argument("--at-most", type=int, default=None)
+        p.add_argument("--out")
+        p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify", help="run a doubling-based batch verification")
     p.add_argument("check", choices=("lower-bound", "no-ramsey"))

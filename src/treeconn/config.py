@@ -36,20 +36,7 @@ class Budget:
 
 DEFAULT_BUDGET = Budget()
 
+# In canonical mode (the default) searches return the lexicographically least
+# witness coloring; fast mode may return any verified witness.
 MODES = ("canonical", "fast")
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    """CLI-facing configuration: budgets plus reproducibility mode.
-
-    In ``canonical`` mode searches return the lexicographically least witness
-    coloring; ``fast`` mode may return any verified witness.
-    """
-
-    budget: Budget = DEFAULT_BUDGET
-    mode: str = "canonical"
-
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}")

@@ -16,7 +16,8 @@ copies: at most m entries each for the arrow search's mixed copies and
 forbids, m * min(r, copy width) for the degree search, with m copies.
 ``TREECONN_BACKEND=python`` selects the interpreted code;
 ``TREECONN_BACKEND=numba`` demands numba and fails at import without it.
-``perfbench/run.py`` measures both kinds end to end and per kernel.
+``perfbench/run.py`` measures the kind that runs, end to end and per
+kernel, and names it in its stamp.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ from .errors import (
     DegenerateInputError,
     InvalidMorphismError,
 )
-from .homsets import (HomSet, _check_sizes, _connections, _emb_rows, _row_keys,
-                      composite_blocks, composite_indices, enumerate_connections, enumerate_hom)
+from .homsets import (HomSet, _check_sizes, _connections, _emb_rows, composite_blocks,
+                      composite_indices, enumerate_connections, enumerate_hom)
 from .morphisms import (CONN, Connection, TreeMap, _raise_first, induced_embedding,
                         row_disagreements, row_failures, validate_connection)
 from .trees import OrderedTree
@@ -216,8 +216,11 @@ def _search_arrays(fam: CopyFamily, mode: str):
     """The kernel arguments both searches share: the distinct copies in CSR
     form and the item order, then col, nxt and maxu."""
     n = fam.n_items
-    _, first = np.unique(_row_keys(fam.rows), return_index=True)
-    cstart, citems, clen, istart, icopies = _csr(fam.rows[first], n)
+    # The distinct copies in lexicographic order: a stable sort, then each
+    # row that differs from the one before it.
+    ranked = fam.rows[np.lexsort(fam.rows.T[::-1])]
+    distinct = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
+    cstart, citems, clen, istart, icopies = _csr(ranked[distinct], n)
     return (
         (cstart, citems, clen, istart, icopies, _order(mode, istart, n)),
         (np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import treeconn as tc
+from treeconn import cli
 from treeconn.cli import export_dot, main
 
 
@@ -115,6 +117,9 @@ def test_usage_errors_exit_3(capsys):
     code, _, err = run_cli(capsys, "arrow", "chain2", "chain3", "chain5", "--cat", "incinj",
                            "-r", "2", "--budget-time", "20")
     assert code == 3 and "unrecognized arguments: --budget-time" in err
+    # No command enumerates trees, so there is no --budget-max-tree flag.
+    code, out, err = run_cli(capsys, "--budget-max-tree", "1", "enum", "emb", "chain2", "chain3")
+    assert (code, out) == (3, "") and "usage:" in err
     for argv in (["--help"], ["arrow", "--help"]):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0 and out.startswith("usage: treeconn")
@@ -124,6 +129,18 @@ def test_usage_errors_exit_3(capsys):
 def test_construct_without_a_tree_names_it(capsys, kind):
     code, out, err = run_cli(capsys, "construct", kind)
     assert (code, out, err) == (3, "", f"error: construct {kind} needs a tree argument\n")
+
+
+@pytest.mark.parametrize("extra", ["second-input", "at"])
+@pytest.mark.parametrize("kind", ["doubling", "plus-leaf", "star", "add-root"])
+def test_construct_refuses_extra_arguments(capsys, kind, extra):
+    # Only graft takes more than one tree, or anchors; a two-tree forest
+    # for add-root is the single argument "()()".
+    tree = "()" if kind == "add-root" else "chain2"
+    inputs = [tree, tree] if extra == "second-input" else [tree, "--at", "0"]
+    code, out, err = run_cli(capsys, "construct", kind, *inputs)
+    assert (code, out) == (3, "")
+    assert err == f"error: construct {kind} takes one argument and no --at\n"
 
 
 GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_for({1}))
@@ -149,6 +166,7 @@ GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_f
     ("config", {"max_hom": "5"}, "max_hom"),
     ("config", {"max_nodes": True}, "max_nodes"),
     ("config", {"time_cap": "1"}, "time_cap"),
+    ("config", {"mode": "quick"}, "mode"),
     ("labels", [1], "--labels"),
     ("labels", {"vertex_map": 5}, "'vertex_map'"),
     ("labels", {"doubles": [5]}, "'doubles'"),
@@ -161,7 +179,7 @@ GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_f
         "domain-top-string", "domain-top-bool", "surj-bool-entry", "emb-bool-entry",
         "parent-bool-entry", "n-bool", "null", "tree-parent-int", "tree-parent-string-entry",
         "forest-without-parent", "config-not-an-object", "config-limit-string",
-        "config-limit-bool", "config-time-cap-string", "labels-not-an-object",
+        "config-limit-bool", "config-time-cap-string", "config-mode", "labels-not-an-object",
         "labels-vertex-map-int", "labels-doubles-int", "labels-vertex-map-string",
         "labels-vertex-map-float", "labels-vertex-map-bool", "labels-doubles-string-base",
         "labels-doubles-bool"])
@@ -282,6 +300,68 @@ def test_config_file_unknown_key_is_an_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "--config", str(cfg), "--mode", "canonical",
                            "enum", "conn", "chain2", "chain3", "--count")
     assert code == 2  # the limit the file sets applies
+
+
+def test_parser_is_built_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "enum", "conn", "chain2", "chain3", "--count")[:2] == (0, "4\n")
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+# (argv, exit code, sha256 prefix of stdout) of the README examples and of
+# every command form, pinned so that refactors keep the output byte-identical.
+# --help is left out: its text varies across Python versions.
+PINNED_OUTPUT = [
+    ("enum embeddings chain2 chain3 --count", 0, "53c234e5e8472b6a"),
+    ("enum embeddings chain2 chain3", 0, "69fb48b261346708"),
+    ("enum emb chain2 (()())", 0, "362cfa180681ba41"),
+    ("enum emb chain2 (()()) --count", 0, "53c234e5e8472b6a"),
+    ("enum incinj chain2 (()())", 0, "ac864d9c5e78fab1"),
+    ("enum incinj chain2 (()()) --count", 0, "1121cfccd5913f0a"),
+    ("enum rigid chain3 chain2", 0, "4dd3599d3c71e6f2"),
+    ("enum rigid chain3 chain2 --count", 0, "1121cfccd5913f0a"),
+    ("enum conn chain2 chain3", 0, "ac54ea4c156c90d4"),
+    ("enum conn chain2 chain3 --count", 0, "7de1555df0c27003"),
+    ("enum conn-root chain2 ((()()))", 0, "0e3f8accd6368afc"),
+    ("enum conn-root chain2 ((()())) --count", 0, "a1fb50e6c86fae16"),
+    ("enum psc chain2 ((()()))", 0, "c4f1b294391a93be"),
+    ("enum psc chain2 ((()())) --count", 0, "06e9d52c1720fca4"),
+    ("construct doubling chain2", 0, "5eb3dc85c8389bc9"),
+    ("construct plus-leaf chain2", 0, "b7851839dfe11670"),
+    ("construct star chain2", 0, "7e3bfe69b8d6f7eb"),
+    ("construct add-root ()(())", 0, "aba77d419c3529f2"),
+    ("construct graft chain2 () () --at 0,1", 0, "23a423222410fb26"),
+    ("arrow chain2 chain3 chain6 --cat incinj -r 2", 0, "ebc33160864410b5"),
+    ("arrow chain2 chain3 chain5 --cat incinj -r 2", 1, "619cabaa6d0d8ac4"),
+    ("arrow chain2 ((()())) (((()())(()()))) --cat conn -r 2", 1, "7e88e5727831bf52"),
+    ("--mode fast arrow chain2 ((()())) (((()())(()()))) --cat conn -r 2", 1,
+     "92575d1563f202cf"),
+    ("--budget-max-nodes 1 arrow chain2 chain3 chain6 --cat incinj -r 2", 2, "d97ca1f4dae3d787"),
+    ("degree chain2 ((()())) ((()())) --cat conn -r 2", 0, "f0b2584b103c0fc4"),
+    ("degree chain2 ((()())) (((()())(()()))) --cat conn -r 2", 0, "8e991aef374568c2"),
+    ("--mode fast degree chain2 ((()())) (((()())(()()))) --cat conn -r 2", 0,
+     "232890b37840662b"),
+    ("--budget-max-hom 3 degree chain2 chain3 chain6 --cat incinj -r 2", 2, "2757308f81454a84"),
+    ("verify lower-bound chain2 --witness self", 0, "6749c44a6c14d260"),
+    ("verify no-ramsey chain2 --vertex 1 --witness double", 0, "6362ae6396e5f152"),
+    ("export (()())", 0, "7e3bfe69b8d6f7eb"),
+    ("export (()()) --json", 0, "44062b56cccec365"),
+    ("export (()()) --dot", 0, "e650e908f9e96da0"),
+    ("export ((()())) --dot --labels table.json", 0, "e23e85d166ccc105"),
+]
+
+
+def test_pinned_output(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "doubling", "chain2", "--out", "table.json"]) == 0
+    capsys.readouterr()
+    got = []
+    for line, _, _ in PINNED_OUTPUT:
+        code, out, _ = run_cli(capsys, *shlex.split(line))
+        got.append((line, code, hashlib.sha256(out.encode()).hexdigest()[:16]))
+    assert got == PINNED_OUTPUT
 
 
 def _readme_commands():

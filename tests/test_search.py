@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,7 @@ import treeconn as tc
 from treeconn import kernels, search
 from treeconn.errors import DegenerateInputError, InvalidMorphismError
 from treeconn import homsets
-from treeconn.homsets import HomSet, _emb_rows
+from treeconn.homsets import HomSet, _emb_rows, _row_keys
 from treeconn.morphisms import FAILURES
 from treeconn.search import _csr
 from conftest import (copy_family_loop, csr_loop, naive_bad_coloring, naive_degree, small_trees,
@@ -105,6 +106,41 @@ def test_csr_matches_loop_reference():
             assert a.tolist() == b
 
 
+def _assert_distinct_copies_match_unique(fam):
+    # Reference: np.unique over the row keys, first occurrences in key order.
+    _, first = np.unique(_row_keys(fam.rows), return_index=True)
+    for mode in ("canonical", "fast"):
+        csr, _ = search._search_arrays(fam, mode)
+        want = _csr(fam.rows[first], fam.n_items)
+        assert all(np.array_equal(a, b) for a, b in zip(csr[:5], want))
+
+
+@pytest.mark.parametrize("S, T, V, category, copies", [
+    (C1, C2, tc.chain(4), tc.EMB, 3),
+    (C1, tc.parse_tree("(()())"), tc.parse_tree("((()())())"), tc.CONN, 10),
+])
+def test_search_arrays_keep_one_of_each_repeated_copy(S, T, V, category, copies):
+    fam = tc.copy_family(S, T, V, category)
+    assert (len(fam.rows), len(np.unique(fam.rows, axis=0))) == (copies, 1)
+    _assert_distinct_copies_match_unique(fam)
+
+
+def test_search_arrays_memory_on_a_dense_family():
+    # conn-root chain2 -> doubling -> doubling^2 with two more leaves: 117,859
+    # copies of 12 items.  np.unique over bytes keys of the copies peaked at
+    # 45 MB; what is left is mostly _csr's argsort.
+    V = tc.graft(D2, [0, 1], [tc.parse_forest("()")] * 2).tree
+    fam = tc.copy_family(C2, D1, V, tc.CONN_ROOT)
+    assert fam.rows.shape == (117_859, 12)
+    tracemalloc.start()
+    try:
+        search._search_arrays(fam, "canonical")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42 << 20
+
+
 def test_copy_family_sizes():
     fam = tc.copy_family(C2, C3, tc.chain(4), tc.INC_INJ)
     assert len(fam.hom_sv) == 6
@@ -175,6 +211,7 @@ def copy_families(draw):
 @given(copy_families())
 def test_searches_match_naive_oracles_on_random_families(family):
     fam, r = family
+    _assert_distinct_copies_match_unique(fam)
     bad = naive_bad_coloring(fam.copies, fam.n_items, r)
     degree = naive_degree(fam.copies, fam.n_items, r)
     for mode in ("canonical", "fast"):
