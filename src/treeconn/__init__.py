@@ -73,7 +73,6 @@ from .morphisms import (
 )
 from .search import (
     ArrowCertificate,
-    Coloring,
     CopyFamily,
     VerificationReport,
     arrow_check,
@@ -87,7 +86,6 @@ from .trees import (
     OrderedTree,
     all_trees_up_to,
     chain,
-    definitional_order,
     enumerate_trees,
     format_forest,
     format_tree,

@@ -33,17 +33,11 @@ def invariant_set(c: Connection) -> frozenset[int]:
     """Marked vertices where the embedding differs from the induced embedding.
 
     The difference set of a valid connection always lies inside the marked
-    set (vertices with two or more immediate successors are pinned); a
-    difference outside it means the input was not a valid connection.
+    set (the root and the vertices with two or more immediate successors
+    are pinned); ``row_disagreements`` refuses a difference outside it.
     """
     [diff] = row_disagreements(c.category, c.source, c.target, connection_to_row(c)[None])
-    diffs = frozenset(np.flatnonzero(diff).tolist())
-    outside = diffs - marked_set(c.source)
-    if outside:
-        raise InvalidMorphismError(
-            f"disagreement at unmarked vertices {sorted(outside)}; connection invalid"
-        )
-    return diffs
+    return frozenset(np.flatnonzero(diff).tolist())
 
 
 def powerset_coloring(c: Connection) -> frozenset[int]:

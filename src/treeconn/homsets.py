@@ -70,15 +70,6 @@ class HomSet:
         return connection_from_row(self.category, self.source, self.target, self.rows[i].tolist())
 
 
-def _check_sizes(budget: Budget, *trees: OrderedTree) -> None:
-    for t in trees:
-        if t.n > budget.max_vertices:
-            raise BudgetExceededError(
-                f"tree with {t.n} vertices exceeds budget max_vertices={budget.max_vertices}",
-                kind="max_vertices",
-            )
-
-
 def _min_table(n: int) -> np.ndarray:
     idx = np.arange(n, dtype=np.int64)
     return np.minimum.outer(idx, idx)
@@ -91,7 +82,14 @@ def _leq_matrix(n: int) -> np.ndarray:
 
 def _emb_rows(S: OrderedTree, T: OrderedTree, budget: Budget, *, linear: bool = False) -> np.ndarray:
     """Rows of embeddings S -> T (tree embeddings, or increasing injections
-    when ``linear``), in lexicographic order."""
+    when ``linear``), in lexicographic order.  Every Hom-set starts here, so
+    this is where both trees are held to ``max_vertices``."""
+    for t in (S, T):
+        if t.n > budget.max_vertices:
+            raise BudgetExceededError(
+                f"tree with {t.n} vertices exceeds budget max_vertices={budget.max_vertices}",
+                kind="max_vertices",
+            )
     if linear:
         meet_s, meet_t = _min_table(S.n), _min_table(T.n)
     else:
@@ -121,7 +119,6 @@ def count_rigid_surjections(frm: OrderedTree, onto: OrderedTree,
                             budget: Budget = DEFAULT_BUDGET, *, cap: int | None = None) -> int:
     """Exact number of rigid surjections frm -> onto without materializing
     them; clamped to cap + 1 when it exceeds ``cap``."""
-    _check_sizes(budget, frm, onto)
     skels = _emb_rows(onto, frm, budget)
     return kernels.rigid_count(skels, frm.anc, budget.max_hom if cap is None else cap)
 
@@ -129,21 +126,18 @@ def count_rigid_surjections(frm: OrderedTree, onto: OrderedTree,
 def enumerate_embeddings(S: OrderedTree, T: OrderedTree,
                          budget: Budget = DEFAULT_BUDGET) -> HomSet:
     """All tree embeddings S -> T."""
-    _check_sizes(budget, S, T)
     return HomSet(EMB, S, T, _emb_rows(S, T, budget))
 
 
 def enumerate_increasing_injections(S: OrderedTree, T: OrderedTree,
                                     budget: Budget = DEFAULT_BUDGET) -> HomSet:
     """All increasing injections between the underlying linear orders."""
-    _check_sizes(budget, S, T)
     return HomSet(INC_INJ, S, T, _emb_rows(S, T, budget, linear=True))
 
 
 def enumerate_rigid_surjections(frm: OrderedTree, onto: OrderedTree,
                                 budget: Budget = DEFAULT_BUDGET) -> HomSet:
     """All rigid surjections frm -> onto, as the Hom-set Hom(onto, frm)."""
-    _check_sizes(budget, frm, onto)
     return HomSet(RIGID, onto, frm, _rigid_rows(frm, onto, budget))
 
 
@@ -152,7 +146,6 @@ def enumerate_connections(S: OrderedTree, T: OrderedTree, category: str = CONN,
     """All connection pairs in Hom(S, T) for a total-pair category tag."""
     if category not in (CONN, CONN_LINEAR, CONN_ROOT):
         raise ValueError(f"enumerate_connections does not handle {category!r}")
-    _check_sizes(budget, S, T)
     return _connections(S, T, category, _emb_rows(S, T, budget, linear=category != CONN), budget)
 
 
@@ -179,7 +172,6 @@ def enumerate_psc(S: OrderedTree, T: OrderedTree,
     one pair-first pass over all embeddings S -> T builds every segment, each
     surjection cut at its embedding's top and padded with -1.
     """
-    _check_sizes(budget, S, T)
     return _connections(S, T, PSC, _emb_rows(S, T, budget), budget)
 
 

@@ -10,12 +10,11 @@ expansion, one skeleton per pair.  All are plain numpy, in fixed-size blocks.
 
 The loop kernels (the two coloring searches and the unused ``pair_filter``)
 are compiled with numba when it imports and run interpreted otherwise, on
-memoryviews of their array arguments, whose elements read as Python ints.
-The searches undo each step from flat per-depth trails, sized by the
-copies: at most m entries each for the arrow search's mixed copies and
+memoryviews of their array arguments, whose elements read as Python ints;
+``BACKEND`` names the kind that runs and ``py_func`` gives the plain
+kernel.  The searches undo each step from flat per-depth trails, sized by
+the copies: at most m entries each for the arrow search's mixed copies and
 forbids, m * min(r, copy width) for the degree search, with m copies.
-``TREECONN_BACKEND=python`` selects the interpreted code;
-``TREECONN_BACKEND=numba`` demands numba and fails at import without it.
 ``perfbench/run.py`` measures the kind that runs, end to end and per
 kernel, and names it in its stamp.
 """
@@ -23,27 +22,15 @@ kernel, and names it in its stamp.
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 
-_REQUESTED = os.environ.get("TREECONN_BACKEND", "").strip().lower()
-if _REQUESTED not in ("", "numba", "python"):
-    raise RuntimeError(
-        f"TREECONN_BACKEND={_REQUESTED!r} not understood; unset it or use 'numba' or 'python'"
-    )
+try:
+    from numba import njit as _njit
 
-JIT_ENABLED = False
-if _REQUESTED != "python":
-    try:
-        from numba import njit as _njit
-
-        JIT_ENABLED = True
-    except ImportError:
-        if _REQUESTED == "numba":
-            raise RuntimeError("TREECONN_BACKEND=numba, but numba cannot be imported") from None
-
-BACKEND = "numba" if JIT_ENABLED else "python"
+    BACKEND = "numba"
+except ImportError:
+    BACKEND = "python"
 
 
 def _jit(fn):
@@ -54,7 +41,7 @@ def _jit(fn):
     a numpy scalar.  Callers pass arrays either way; ``py_func`` gives the
     kernel itself, to run on the arrays as they are.
     """
-    if JIT_ENABLED:
+    if BACKEND == "numba":
         return _njit(cache=True)(fn)
 
     @functools.wraps(fn)
@@ -68,7 +55,7 @@ def _jit(fn):
 def _jit_helper(fn):
     """Compile a helper that compiled loop kernels call; interpreted, it runs
     as written, on the memoryviews its kernel already holds."""
-    return _njit(cache=True)(fn) if JIT_ENABLED else fn
+    return _njit(cache=True)(fn) if BACKEND == "numba" else fn
 
 
 def py_func(kernel):
@@ -127,12 +114,12 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
 
     Forward checking: a copy whose assigned items all have color c, with one
     item u left unassigned, forbids c on u.  forbid[u * r + c] counts the
-    copies forbidding c on u, nforb[u] the colors forbidden on u; the caller
-    seeds them with every color on the item of each one-item copy.  A
-    forbidden color is tried and skipped, and a step after which some item
-    has all r colors forbidden is undone at once; with a one-item copy the
-    search is exhausted before the first step.  Pruned subtrees hold no bad
-    coloring, so the first hit is the same as without the pruning.
+    copies forbidding c on u, nforb[u] the colors forbidden on u; both start
+    at zero.  A forbidden color is tried and skipped, and a step after which
+    some item has all r colors forbidden is undone at once.  Pruned subtrees
+    hold no bad coloring, so the first hit is the same as without the
+    pruning.  Copies have two items or more: a one-item copy would never
+    forbid, so the caller decides that case (no bad coloring) without a call.
 
     Per-copy state: ccnt assigned items, ccol the color of the first, cmix
     whether two colors are present.  The step at depth d records the copies
@@ -146,12 +133,6 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
     n = order.shape[0]
     d = state[0]
     explored = state[1]
-    if n > 0 and d == 0 and nxt[0] == 0:
-        # Before the first step: a one-item copy leaves no bad coloring.
-        for u in range(n):
-            if nforb[u] == r:
-                state[0] = -1
-                return EXHAUSTED
     while True:
         if d == n:
             state[0] = d
@@ -280,12 +261,7 @@ def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
                 best = val
                 for i in range(n):
                     best_col[i] = col[i]
-            d -= 1
-            if d < 0:
-                state[0] = d
-                state[1] = explored
-                state[2] = best
-                return EXHAUSTED
+            d -= 1  # n >= 1 items, so a leaf is undone at depth n - 1 >= 0
         else:
             it = order[d]
             c = nxt[d]

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidMorphismError
-from .trees import OrderedTree, record_field, record_index, tree_from_record, tree_to_record
+from .trees import (OrderedTree, marked_set, record_field, record_index, tree_from_record,
+                    tree_to_record)
 
 # Category tags.
 CONN = "conn"              # connections between trees
@@ -83,11 +84,6 @@ class TreeMap:
     @property
     def is_total(self) -> bool:
         return self.top == self.source.n - 1
-
-    def __call__(self, v: int) -> int:
-        if not 0 <= v <= self.top:
-            raise IndexError(f"vertex {v} outside map domain 0..{self.top}")
-        return self.values[v]
 
 
 @dataclass(frozen=True)
@@ -256,7 +252,8 @@ def row_disagreements(category: str, S: OrderedTree, V: OrderedTree,
                       rows: np.ndarray) -> np.ndarray:
     """The (len(rows), S.n) boolean disagreement sets of conn or psc rows
     s | i of Hom(S, V): where i differs from the induced embedding of s.
-    Rows that are no morphisms, or another category, raise."""
+    Rows that are no morphisms, or another category, raise; so does a
+    disagreement outside the marked set, which no valid connection has."""
     if category not in (CONN, PSC):
         raise InvalidMorphismError(
             f"disagreement sets are defined for conn and psc morphisms, not {category}")
@@ -266,7 +263,12 @@ def row_disagreements(category: str, S: OrderedTree, V: OrderedTree,
     # of preimages that is one).  By condition (a) no vertex before the
     # preimage i(x) maps above x, so i(x) is not the least if one maps to x.
     prefix_max = np.maximum.accumulate(surj, axis=1)
-    return (emb > 0) & (prefix_max[np.arange(len(rows))[:, None], emb - 1] == np.arange(S.n))
+    diff = (emb > 0) & (prefix_max[np.arange(len(rows))[:, None], emb - 1] == np.arange(S.n))
+    outside = set(np.flatnonzero(diff.any(axis=0)).tolist()) - marked_set(S)
+    if outside:
+        raise InvalidMorphismError(
+            f"disagreement at unmarked vertices {sorted(outside)}; connection invalid")
+    return diff
 
 
 def connection_to_row(c: Connection) -> np.ndarray:

@@ -19,10 +19,10 @@ from .errors import (
     DegenerateInputError,
     InvalidMorphismError,
 )
-from .homsets import (HomSet, _check_sizes, _connections, _emb_rows, composite_blocks,
-                      composite_indices, enumerate_connections, enumerate_hom)
-from .morphisms import (CONN, Connection, TreeMap, _raise_first, induced_embedding,
-                        row_disagreements, row_failures, validate_connection)
+from .homsets import (HomSet, _connections, _emb_rows, composite_blocks, composite_indices,
+                      enumerate_connections, enumerate_hom)
+from .morphisms import (CONN, Connection, TreeMap, _raise_first, connection_to_row,
+                        induced_embedding, row_disagreements, row_failures, validate_connection)
 from .trees import OrderedTree
 
 VERDICTS = ("arrows", "fails", "degree_at_most_k", "degree_exceeds_k", "unknown")
@@ -56,16 +56,6 @@ class CopyFamily:
     def copies(self) -> tuple[tuple[int, ...], ...]:
         """The rows as tuples, repeats included."""
         return tuple(map(tuple, self.rows.tolist()))
-
-
-@dataclass(frozen=True)
-class Coloring:
-    values: tuple[int, ...]
-    r: int
-
-    def __post_init__(self):
-        if any(not 0 <= v < self.r for v in self.values):
-            raise ValueError("color indices must lie in 0..r-1")
 
 
 @dataclass(frozen=True)
@@ -235,17 +225,17 @@ def _trail(n_items: int, size: int):
 
 def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float):
     """Run the arrow DFS over fam; returns (status, coloring or None, explored)."""
+    # Every copy has len(Hom(S, T)) items; one-item copies are monochromatic
+    # under every coloring, so there is nothing to search.
+    if fam.rows.shape[1] == 1:
+        return kernels.EXHAUSTED, None, 0
     csr, (col, nxt, maxu) = _search_arrays(fam, mode)
-    cstart, citems, clen = csr[:3]
-    n, m = fam.n_items, len(clen)
+    n, m = fam.n_items, len(csr[2])
     # Colors past the n-th are never tried, so min(r, n) columns suffice.
     r_eff = min(r, n)
     ccnt, ccol, cmix = (np.zeros(m, dtype=np.int64) for _ in range(3))
-    forbid = np.zeros((n, r_eff), dtype=np.int64)
-    # A one-item copy forbids every color on its item.
-    np.add.at(forbid, citems[cstart[:-1][clen == 1]], 1)
-    nforb = np.count_nonzero(forbid, axis=1).astype(np.int64)
-    forbid = forbid.ravel()  # the kernel reads forbid[u * r_eff + c]
+    forbid = np.zeros(n * r_eff, dtype=np.int64)  # the kernel reads forbid[u * r_eff + c]
+    nforb = np.zeros(n, dtype=np.int64)
     # Along one path each copy turns mixed once and forbids once at most.
     mixed, forbids = _trail(n, m), _trail(n, m)
     state = np.zeros(2, dtype=np.int64)
@@ -261,15 +251,18 @@ def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0:
     return status, coloring, int(state[1])
 
 
-def _colors_per_copy(fam: CopyFamily, coloring: tuple[int, ...]) -> np.ndarray:
-    """The number of distinct colors on each copy."""
-    colors = np.sort(np.asarray(coloring, dtype=np.int64)[fam.rows], axis=1)
-    return 1 + (colors[:, 1:] != colors[:, :-1]).sum(axis=1)
+def _fewest_colors(fam: CopyFamily, coloring: tuple[int, ...], r: int) -> int:
+    """The fewest distinct colors any copy attains under ``coloring``, whose
+    colors must lie in 0..r-1."""
+    colors = np.asarray(coloring, dtype=np.int64)
+    if ((colors < 0) | (colors >= r)).any():
+        raise ValueError("color indices must lie in 0..r-1")
+    per_copy = np.sort(colors[fam.rows], axis=1)
+    return 1 + int((per_copy[:, 1:] != per_copy[:, :-1]).sum(axis=1).min())
 
 
 def _verify_bad_coloring(fam: CopyFamily, coloring: tuple[int, ...], r: int) -> None:
-    Coloring(coloring, r)
-    if (_colors_per_copy(fam, coloring) < 2).any():
+    if _fewest_colors(fam, coloring, r) < 2:
         raise InvalidMorphismError("certificate does not re-verify: monochromatic copy found")
 
 
@@ -335,8 +328,7 @@ def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float
 
 
 def _verify_degree_witness(fam: CopyFamily, witness: tuple[int, ...], r: int, k: int) -> None:
-    Coloring(witness, r)
-    attained = int(_colors_per_copy(fam, witness).min())
+    attained = _fewest_colors(fam, witness, r)
     if attained != k:
         raise InvalidMorphismError(
             f"degree witness re-verification failed: coloring attains {attained}, claimed {k}"
@@ -387,7 +379,6 @@ def verify_lower_bound(S: OrderedTree, witness: OrderedTree | None = None,
     dbl = doubling_tree(S)
     T = dbl.tree
     V = T if witness is None else witness
-    _check_sizes(budget, T, V)
     # The embeddings T -> V are the skeletons of the rigid surjections the
     # auto choice counts, the pairs of the factored sweep and the skeletons
     # of Hom(T, V) for the direct method: enumerate them once.
@@ -414,9 +405,8 @@ def _composite_disagreements(hom_st: HomSet, hom_tv: HomSet) -> Iterator[tuple[i
 
 
 def _outer(hom_tv: HomSet, g: int) -> str:
-    row = hom_tv.rows[g].tolist()
-    vn = hom_tv.target.n
-    return f"outer surj {tuple(row[:vn])} emb {tuple(row[vn:])}"
+    c = hom_tv[g]
+    return f"outer surj {c.surj.values} emb {c.emb.values}"
 
 
 def _verify_lower_bound_direct(dbl: DoublingResult, V: OrderedTree, rows: np.ndarray,
@@ -426,19 +416,10 @@ def _verify_lower_bound_direct(dbl: DoublingResult, V: OrderedTree, rows: np.nda
     hom_tv = _connections(T, V, CONN, rows, budget)
     subsets = list(dbl.subsets())
     witnesses = HomSet(CONN, S, T, np.array(
-        [dbl.surj.values + dbl.embedding_for(B).values for B in subsets], dtype=np.int64))
+        [connection_to_row(dbl.connection_for(B)) for B in subsets]))
     want = np.array([[x in B for x in range(S.n)] for B in subsets], dtype=bool)
-    unmarked = np.ones(S.n, dtype=bool)
-    unmarked[list(dbl.marked)] = False
     bad: list[str] = []
     for lo, got in _composite_disagreements(witnesses, hom_tv):
-        outside = got & unmarked
-        if outside.any():
-            g, b = np.argwhere(outside.any(axis=2))[0]
-            raise InvalidMorphismError(
-                f"disagreement at unmarked vertices {np.flatnonzero(outside[g, b]).tolist()}; "
-                "connection invalid"
-            )
         for g, b in np.argwhere((got != want).any(axis=2))[: 16 - len(bad)].tolist():
             bad.append(
                 f"{_outer(hom_tv, lo + g)}: subset {sorted(subsets[b])} "
@@ -482,10 +463,14 @@ def verify_no_ramsey(S: OrderedTree, T: OrderedTree, x: int, s: TreeMap,
     composite is checked and colored in one array pass, as in the direct
     method of ``verify_lower_bound``.
 
-    Preconditions (each failure is reported by name): (s, i) is a valid
-    connection, i differs from the induced embedding at x, and the induced
-    image of x has at least two immediate successors.
+    Preconditions (each failure is reported by name): s maps T onto S,
+    (s, i) is a valid connection, i differs from the induced embedding at
+    x, and the induced image of x has at least two immediate successors.
     """
+    if S != s.target:
+        raise ValueError("S is not the tree that s maps onto")
+    if T != s.source:
+        raise ValueError("T is not the tree that s maps from")
     base = Connection(CONN, s, i)
     try:
         validate_connection(base)
@@ -503,7 +488,8 @@ def verify_no_ramsey(S: OrderedTree, T: OrderedTree, x: int, s: TreeMap,
         raise InvalidMorphismError(
             f"hypothesis failed: induced image of {x} has fewer than two immediate successors"
         )
-    pairs = HomSet(CONN, S, T, np.array([s.values + ind.values, s.values + i.values]))
+    pairs = HomSet(CONN, S, T, np.array(
+        [connection_to_row(Connection(CONN, s, ind)), connection_to_row(base)]))
     hom_tv = enumerate_connections(T, witness, CONN, budget)
     bad: list[str] = []
     for lo, diff in _composite_disagreements(pairs, hom_tv):

@@ -143,16 +143,6 @@ class OrderedTree(_ParentStructure):
         self._check_vertex(v)
         return int(self.meet_table[u, v])
 
-    def child_toward(self, u: int, v: int) -> int:
-        """The child of u whose subtree contains v; v must lie strictly above u."""
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if v == u or not self.is_pred(u, v):
-            raise ValueError(f"{v} is not a strict descendant of {u}")
-        while self.parent[v] != u:
-            v = self.parent[v]
-        return v
-
     def __str__(self) -> str:
         return format_tree(self)
 
@@ -300,23 +290,6 @@ def dump_tree(t: OrderedTree | Forest) -> str:
 def meet(t: OrderedTree, u: int, v: int) -> int:
     """Greatest common predecessor of u and v."""
     return t.meet(u, v)
-
-
-def definitional_order(t: OrderedTree, u: int, v: int) -> int:
-    """Compare u and v by the two-clause order definition, evaluated literally.
-
-    Returns -1, 0, or 1.  Clause one: u below v.  Clause two: v not below u
-    and the branch of u at the meet precedes the branch of v.  Used as an
-    oracle against plain index comparison.
-    """
-    if u == v:
-        return 0
-    if t.is_pred(u, v):
-        return -1
-    if t.is_pred(v, u):
-        return 1
-    m = t.meet(u, v)
-    return -1 if t.child_toward(m, u) < t.child_toward(m, v) else 1
 
 
 def initial_subtree(t: OrderedTree, v: int) -> OrderedTree:

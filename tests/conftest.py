@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import treeconn as tc
 from treeconn import kernels
 from treeconn.errors import BudgetExceededError
-from treeconn.homsets import HomSet, _check_sizes, _emb_rows
+from treeconn.homsets import HomSet, _emb_rows
 from treeconn.morphisms import FAILURES, PSC
 from treeconn.trees import ROOT
 
@@ -187,6 +187,32 @@ def meet_table_loop(t):
             tab[v, u] = w
     tab.setflags(write=False)
     return tab
+
+
+def child_toward(t, u, v):
+    """The child of u whose subtree contains v; v must lie strictly above u."""
+    if v == u or not t.is_pred(u, v):
+        raise ValueError(f"{v} is not a strict descendant of {u}")
+    while t.parent[v] != u:
+        v = t.parent[v]
+    return v
+
+
+def definitional_order(t, u, v):
+    """Compare u and v by the two-clause order definition, evaluated literally.
+
+    Returns -1, 0, or 1.  Clause one: u below v.  Clause two: v not below u
+    and the branch of u at the meet precedes the branch of v.  The oracle
+    against plain index comparison.
+    """
+    if u == v:
+        return 0
+    if t.is_pred(u, v):
+        return -1
+    if t.is_pred(v, u):
+        return 1
+    m = t.meet(u, v)
+    return -1 if child_toward(t, m, u) < child_toward(t, m, v) else 1
 
 
 def is_embedding_loop(f):
@@ -530,7 +556,6 @@ def enumerate_psc_loop(S, T, budget=tc.DEFAULT_BUDGET):
     """Per-segment reference for ``homsets.enumerate_psc``: one
     ``kernels.connection_rows`` call per initial segment up to v, its rows
     padded to T.n with -1, then all of them sorted."""
-    _check_sizes(budget, S, T)
     rows = _emb_rows(S, T, budget)
     parts = [np.empty((0, T.n + S.n), dtype=np.int64)]
     found = 0

@@ -12,6 +12,7 @@ import treeconn as tc
 from treeconn.colorings import _prune
 from conftest import (
     conn_oracle,
+    definitional_order,
     emb_oracle,
     galois_ok,
     incinj_oracle,
@@ -45,7 +46,7 @@ def test_criterion_1_tree_substrate():
         for u in range(t.n):
             for v in range(t.n):
                 pairs += 1
-                if tc.definitional_order(t, u, v) != (u > v) - (u < v):
+                if definitional_order(t, u, v) != (u > v) - (u < v):
                     ok = False
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0

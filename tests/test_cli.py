@@ -158,6 +158,7 @@ GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_f
     ("invariant", dict(GOOD_RECORD, emb=[0, True]), "'emb'"),
     ("invariant", dict(GOOD_RECORD, source={"n": 2, "parent": [None, False]}), "'parent'"),
     ("invariant", dict(GOOD_RECORD, source={"n": True, "parent": [None]}), "'n'"),
+    ("invariant", dict(GOOD_RECORD, category="bogus"), "unknown category tag 'bogus'"),
     ("functor", None, "'category'"),
     ("tree", {"parent": 5}, "'parent'"),
     ("tree", {"parent": [None, "0"], "n": 2}, "'parent'"),
@@ -177,12 +178,12 @@ GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_f
     ("labels", {"doubles": [[1, 2, False]]}, "'doubles'"),
 ], ids=["no-source", "not-an-object", "target-without-parent", "surj-not-a-list", "emb-nested",
         "domain-top-string", "domain-top-bool", "surj-bool-entry", "emb-bool-entry",
-        "parent-bool-entry", "n-bool", "null", "tree-parent-int", "tree-parent-string-entry",
-        "forest-without-parent", "config-not-an-object", "config-limit-string",
-        "config-limit-bool", "config-time-cap-string", "config-mode", "labels-not-an-object",
-        "labels-vertex-map-int", "labels-doubles-int", "labels-vertex-map-string",
-        "labels-vertex-map-float", "labels-vertex-map-bool", "labels-doubles-string-base",
-        "labels-doubles-bool"])
+        "parent-bool-entry", "n-bool", "unknown-category", "null", "tree-parent-int",
+        "tree-parent-string-entry", "forest-without-parent", "config-not-an-object",
+        "config-limit-string", "config-limit-bool", "config-time-cap-string", "config-mode",
+        "labels-not-an-object", "labels-vertex-map-int", "labels-doubles-int",
+        "labels-vertex-map-string", "labels-vertex-map-float", "labels-vertex-map-bool",
+        "labels-doubles-string-base", "labels-doubles-bool"])
 def test_malformed_records_exit_3(tmp_path, capsys, command, record, field):
     # A record of the wrong shape is bad input (3), not a failed check (1).
     path = tmp_path / "rec.json"

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import treeconn as tc
@@ -43,6 +44,16 @@ def test_disagreement_sets_are_for_conn_and_psc_only():
         for color in (tc.invariant_set, lambda c: tc.two_coloring(0, c)):
             with pytest.raises(InvalidMorphismError, match=f"conn and psc morphisms, not {cat}$"):
                 color(c)
+
+
+def test_disagreement_outside_the_marked_set_is_refused(monkeypatch):
+    # No connection disagrees at the root, which is never marked: let one
+    # such row past the row rules.
+    c = conn(C2, C3, (0, 0, 1), (1, 2))
+    monkeypatch.setattr(morphisms, "row_failures", lambda cat, S, T, rows: np.full(len(rows), -1))
+    with pytest.raises(InvalidMorphismError,
+                       match=r"^disagreement at unmarked vertices \[0\]; connection invalid$"):
+        tc.invariant_set(c)
 
 
 def test_to_strong_examples():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -23,6 +24,36 @@ C1, C2, C3, C4 = tc.chain(1), tc.chain(2), tc.chain(3), tc.chain(4)
 
 def tmap(S, T, vals, top=None):
     return tc.TreeMap(S, T, tuple(vals), domain_top=top)
+
+
+# Halves of Hom(C2, C3), total and cut to a prefix.
+SURJ, EMB_HALF = tmap(C3, C2, (0, 1, 1)), tmap(C2, C3, (0, 1))
+SURJ_CUT, EMB_CUT = tmap(C3, C2, (0, 1), top=1), tmap(C2, C3, (0,), top=0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: tmap(C3, C2, (0, 1), top=3), "domain_top 3 out of range for source of size 3"),
+    (lambda: tmap(C3, C2, (0, 1)), "map has 2 values, expected 3"),
+    (lambda: tmap(C2, C3, (0, 3)), "value 3 outside target of size 3"),
+    (lambda: tc.Connection("bogus", SURJ, EMB_HALF), "unknown category tag 'bogus'"),
+    (lambda: tc.Connection(tc.CONN, None, EMB_HALF), "conn needs both halves"),
+    (lambda: tc.Connection(tc.CONN, tmap(C3, C3, (0, 1, 2)), EMB_HALF),
+     "surjection target differs from embedding source"),
+    (lambda: tc.Connection(tc.CONN, tmap(C4, C2, (0, 1, 1, 1)), EMB_HALF),
+     "surjection source differs from embedding target"),
+    (lambda: tc.Connection(tc.PSC, SURJ_CUT, EMB_CUT), "embedding half must be total"),
+    (lambda: tc.Connection(tc.CONN, SURJ_CUT, EMB_HALF), "conn surjection half must be total"),
+    (lambda: tc.Connection(tc.INC_INJ, SURJ, EMB_HALF), "incinj carries the embedding half only"),
+    (lambda: tc.Connection(tc.EMB, None, EMB_CUT), "embedding half must be total"),
+    (lambda: tc.Connection(tc.RIGID, SURJ, EMB_HALF), "rigid carries the surjection half only"),
+    (lambda: tc.Connection(tc.RIGID, SURJ_CUT, None), "rigid surjection half must be total"),
+], ids=["domain-top-range", "length", "value-range", "unknown-tag", "pair-missing-half",
+        "surj-target", "surj-source", "pair-emb-cut", "conn-surj-cut", "emb-only-extra-half",
+        "emb-only-cut", "rigid-extra-half", "rigid-cut"])
+def test_malformed_maps_and_pairs_are_refused(build, message):
+    # Records read from files reach these checks through connection_from_record.
+    with pytest.raises(InvalidMorphismError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_is_embedding():

@@ -243,6 +243,14 @@ def test_certificates_reject_a_wrong_coloring():
         search._verify_degree_witness(fam, flipped, 2, 2)
 
 
+def test_fewest_colors_refuses_a_color_outside_the_range():
+    fam = tc.copy_family(C2, C3, tc.chain(5), tc.INC_INJ)
+    for bad in (-1, 2):
+        coloring = (bad,) + (0,) * (fam.n_items - 1)
+        with pytest.raises(ValueError, match=r"color indices must lie in 0\.\.r-1"):
+            search._fewest_colors(fam, coloring, 2)
+
+
 def test_arrow_fast_mode_still_verifies():
     cert = tc.arrow_check(C2, C3, tc.chain(5), 2, tc.INC_INJ, mode="fast")
     assert cert.verdict == "fails"
@@ -551,6 +559,19 @@ def test_no_ramsey_pass_and_preconditions():
     second = tc.Connection(tc.CONN, w.surj, tc.TreeMap(C2, T, (0, 3)))
     tc.validate_connection(second)
     assert tc.verify_no_ramsey(C2, T, 1, second.surj, second.emb, T).ok
+
+
+def test_no_ramsey_refuses_trees_the_pair_does_not_run_between():
+    # The pair lives on doubling(((()))) = ((((()()))())).  Another tree of
+    # 7 vertices, as T and as the witness, once reported a pass.
+    S = tc.parse_tree("((()))")
+    dbl = tc.doubling_tree(S)
+    w = dbl.connection_for({1})
+    wrong = tc.parse_tree("(((((())))()))")
+    with pytest.raises(ValueError, match="^T is not the tree that s maps from$"):
+        tc.verify_no_ramsey(S, wrong, 1, w.surj, w.emb, wrong)
+    with pytest.raises(ValueError, match="^S is not the tree that s maps onto$"):
+        tc.verify_no_ramsey(tc.parse_tree("(()())"), dbl.tree, 1, w.surj, w.emb, dbl.tree)
 
 
 def test_no_ramsey_needs_branching_image():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import treeconn as tc
 from treeconn.errors import BudgetExceededError, ParseError
 from treeconn.trees import ROOT
-from conftest import anc_loop, canonical_trees, meet_table_loop
+from conftest import anc_loop, canonical_trees, definitional_order, meet_table_loop
 
 
 def test_parse_basics():
@@ -115,12 +115,12 @@ def test_definitional_order_matches_indices():
         for u in range(t.n):
             for v in range(t.n):
                 expected = (u > v) - (u < v)
-                assert tc.definitional_order(t, u, v) == expected
+                assert definitional_order(t, u, v) == expected
 
 
 def test_definitional_order_example():
     t = tc.parse_tree("((())())")
-    assert tc.definitional_order(t, 2, 3) == -1
+    assert definitional_order(t, 2, 3) == -1
 
 
 def test_initial_subtree():
