@@ -102,15 +102,19 @@ def _emb_rows(S: OrderedTree, T: OrderedTree, budget: Budget, *, linear: bool = 
     return rows
 
 
+def _rigid_count(frm: OrderedTree, skels: np.ndarray, budget: Budget) -> int:
+    """Rigid surjections from frm with skeletons ``skels``, at most max_hom."""
+    count = kernels.rigid_count(skels, frm.anc, budget.max_hom)
+    if count > budget.max_hom:
+        raise BudgetExceededError(f"more than max_hom={budget.max_hom} rigid surjections",
+                                  kind="max_hom")
+    return count
+
+
 def _rigid_rows(frm: OrderedTree, onto: OrderedTree, budget: Budget) -> np.ndarray:
     """Rows of rigid surjections frm -> onto, in lexicographic order."""
     skels = _emb_rows(onto, frm, budget)
-    count = kernels.rigid_count(skels, frm.anc, budget.max_hom)
-    if count > budget.max_hom:
-        raise BudgetExceededError(
-            f"more than max_hom={budget.max_hom} rigid surjections", kind="max_hom"
-        )
-    out = np.empty((count, frm.n), dtype=np.int64)
+    out = np.empty((_rigid_count(frm, skels, budget), frm.n), dtype=np.int64)
     kernels.rigid_fill(skels, frm.anc, out)
     return out[np.lexsort(out.T[::-1])]
 
@@ -118,9 +122,12 @@ def _rigid_rows(frm: OrderedTree, onto: OrderedTree, budget: Budget) -> np.ndarr
 def count_rigid_surjections(frm: OrderedTree, onto: OrderedTree,
                             budget: Budget = DEFAULT_BUDGET, *, cap: int | None = None) -> int:
     """Exact number of rigid surjections frm -> onto without materializing
-    them; clamped to cap + 1 when it exceeds ``cap``."""
+    them.  A count above ``cap`` reads cap + 1; without a cap, a count above
+    max_hom raises BudgetExceededError, as enumerating them does."""
     skels = _emb_rows(onto, frm, budget)
-    return kernels.rigid_count(skels, frm.anc, budget.max_hom if cap is None else cap)
+    if cap is None:
+        return _rigid_count(frm, skels, budget)
+    return kernels.rigid_count(skels, frm.anc, cap)
 
 
 def enumerate_embeddings(S: OrderedTree, T: OrderedTree,

@@ -12,9 +12,9 @@ The loop kernels (the two coloring searches and the unused ``pair_filter``)
 are compiled with numba when it imports and run interpreted otherwise, on
 memoryviews of their array arguments, whose elements read as Python ints;
 ``BACKEND`` names the kind that runs and ``py_func`` gives the plain
-kernel.  The searches undo each step from flat per-depth trails, sized by
-the copies: at most m entries each for the arrow search's mixed copies and
-forbids, m * min(r, copy width) for the degree search, with m copies.
+kernel.  The searches run over m copies of one width, |Hom(S, T)|, and
+undo each step from flat per-depth trails: at most m entries each for the
+arrow search's mixed copies and forbids, m * min(r, width) for the degree.
 ``perfbench/run.py`` measures the kind that runs, end to end and per
 kernel, and names it in its stamp.
 """
@@ -101,9 +101,9 @@ def pair_filter(surjs, embs, caps):
 
 
 @_jit
-def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
+def dfs_bad_coloring(citems, width, istart, icopies, order, r,
                      col, nxt, maxu, ccnt, ccol, cmix, utrail, ustart,
-                     state, node_budget, forbid, nforb, ftrail, fstart):
+                     node_budget, state, forbid, nforb, ftrail, fstart):
     """Resumable depth-first search for a coloring with no monochromatic copy.
 
     Items are colored in the order given by ``order`` with colors tried
@@ -118,8 +118,8 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
     at zero.  A forbidden color is tried and skipped, and a step after which
     some item has all r colors forbidden is undone at once.  Pruned subtrees
     hold no bad coloring, so the first hit is the same as without the
-    pruning.  Copies have two items or more: a one-item copy would never
-    forbid, so the caller decides that case (no bad coloring) without a call.
+    pruning.  Copy k is citems[k * width:(k + 1) * width]; width >= 2, as a
+    one-item copy never forbids and the caller decides that case unaided.
 
     Per-copy state: ccnt assigned items, ccol the color of the first, cmix
     whether two colors are present.  The step at depth d records the copies
@@ -130,6 +130,7 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
     arrays persist across calls so the search can be paused on the node
     budget and resumed.
     """
+    # state stays argument 15: the benchmark's tracer reads the node count there.
     n = order.shape[0]
     d = state[0]
     explored = state[1]
@@ -169,9 +170,9 @@ def dfs_bad_coloring(cstart, citems, clen, istart, icopies, order, r,
                     ul += 1
                 cnt += 1
                 ccnt[k] = cnt
-                if cnt + 1 == clen[k] and cmix[k] == 0:
+                if cnt + 1 == width and cmix[k] == 0:
                     u = it
-                    for ipos in range(cstart[k], cstart[k + 1]):
+                    for ipos in range(k * width, k * width + width):
                         u = citems[ipos]
                         if col[u] < 0:
                             break
@@ -224,27 +225,27 @@ def _degree_bound(hist, cap):
 
 
 @_jit
-def dfs_degree(cstart, citems, clen, istart, icopies, order, r, cap,
-               col, nxt, maxu, cval, cmask, utrail, ustart,
-               state, best_col, node_budget, hist):
+def dfs_degree(istart, icopies, order, r, cap, col, nxt, maxu, cval, cmask,
+               utrail, ustart, best_col, node_budget, hist, state):
     """Resumable branch-and-bound for max over colorings of the minimum
     number of colors attained on a copy.
 
-    cmask[k] holds the colors on copy k.  Its value cval[k] = clen[k] minus
+    cmask[k] holds the colors on copy k.  Its value cval[k] = width minus
     its repeats (assigned items whose color the copy already had) bounds the
-    colors it can end with; the caller starts it at clen.  hist[v] counts the
-    copies of value v < cap, where cap = min(r, smallest copy size) is an
-    a-priori upper bound, so the bound at a node, min(cap, min cval), is a
-    scan of cap entries; at a leaf it is the attained minimum.  The step at
-    depth d records the copies it gave a new color in
-    utrail[ustart[d]:ustart[d + 1]] (ustart[0] = 0); the other copies of the
-    item took a repeat.  Along one path a copy gains at most min(r, clen[k])
-    colors, which bounds the trail.  A color is kept when the bound after
-    it exceeds the best so far; each color tried counts one node.
+    colors it can end with; the caller starts it at width.  hist[v] counts
+    the copies of value v < cap, where cap = min(r, width) is an a-priori
+    upper bound, so the bound at a node, min(cap, min cval), is a scan of
+    cap entries; at a leaf it is the attained minimum.  The step at depth d
+    records the copies it gave a new color in utrail[ustart[d]:ustart[d + 1]]
+    (ustart[0] = 0); the other copies of the item took a repeat.  Along one
+    path a copy gains at most cap colors, which bounds the trail.  A color
+    is kept when the bound after it exceeds the best so far; each color
+    tried counts one node.
 
     state = [depth, explored, best]; the search stops early when best
     reaches cap.  best_col holds the witness coloring for the current best.
     """
+    # state stays argument 15: the benchmark's tracer reads the node count there.
     n = order.shape[0]
     d = state[0]
     explored = state[1]

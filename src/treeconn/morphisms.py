@@ -402,15 +402,15 @@ def identity_connection(t: OrderedTree, category: str = CONN) -> Connection:
 
 def complete_strong(p: Connection) -> Connection:
     """Extend a partial strong pair to a total connection by sending every
-    vertex above the segment top to the root of the small tree."""
+    vertex above the segment top to the root of the small tree.  Only the
+    input is validated: the new positions lie above every embedded vertex
+    and the root already has preimage 0, so the output is a connection."""
     if p.category != PSC:
         raise InvalidMorphismError("completion applies to partial strong pairs")
     validate_connection(p)
     T, S = p.target, p.source
     svals = p.surj.values + (0,) * (T.n - 1 - p.top)
-    out = Connection(CONN, TreeMap(T, S, svals), TreeMap(S, T, p.emb.values))
-    validate_connection(out)
-    return out
+    return Connection(CONN, TreeMap(T, S, svals), TreeMap(S, T, p.emb.values))
 
 
 # ---------------------------------------------------------------------------

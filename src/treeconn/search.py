@@ -118,19 +118,6 @@ def copy_family(S: OrderedTree, T: OrderedTree, V: OrderedTree, category: str,
     return CopyFamily(category, hom_st, hom_tv, hom_sv, rows)
 
 
-def _csr(rows: np.ndarray, n_items: int):
-    """Copy -> items and item -> copies in compressed form, copies of one
-    width; each item lists its copies in order (a stable sort of the items)."""
-    m, width = rows.shape
-    citems = rows.ravel()
-    clen = np.full(m, width, dtype=np.int64)
-    cstart = np.arange(m + 1, dtype=np.int64) * width
-    degree = np.bincount(citems, minlength=n_items)
-    istart = np.concatenate(([0], np.cumsum(degree)))
-    icopies = np.argsort(citems, kind="stable") // width
-    return cstart, citems, clen, istart, icopies
-
-
 def _order(mode: str, istart: np.ndarray, n_items: int) -> np.ndarray:
     if mode == "fast":
         degree = istart[1:] - istart[:-1]
@@ -203,16 +190,20 @@ def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
 
 
 def _search_arrays(fam: CopyFamily, mode: str):
-    """The kernel arguments both searches share: the distinct copies in CSR
-    form and the item order, then col, nxt and maxu."""
+    """What both searches share: the distinct copies as an (m, width) array;
+    item -> copies in compressed form and the item order; col, nxt, maxu."""
     n = fam.n_items
     # The distinct copies in lexicographic order: a stable sort, then each
     # row that differs from the one before it.
     ranked = fam.rows[np.lexsort(fam.rows.T[::-1])]
-    distinct = np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1)))
-    cstart, citems, clen, istart, icopies = _csr(ranked[distinct], n)
+    distinct = np.ones(len(ranked), dtype=bool)
+    distinct[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    copies = ranked[distinct]
+    istart = np.concatenate(([0], np.cumsum(np.bincount(copies.ravel(), minlength=n))))
+    icopies = np.argsort(copies.ravel(), kind="stable") // copies.shape[1]
     return (
-        (cstart, citems, clen, istart, icopies, _order(mode, istart, n)),
+        copies,
+        (istart, icopies, _order(mode, istart, n)),
         (np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64),
          np.full(n + 1, -1, dtype=np.int64)),
     )
@@ -229,8 +220,8 @@ def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0:
     # under every coloring, so there is nothing to search.
     if fam.rows.shape[1] == 1:
         return kernels.EXHAUSTED, None, 0
-    csr, (col, nxt, maxu) = _search_arrays(fam, mode)
-    n, m = fam.n_items, len(csr[2])
+    copies, csr, (col, nxt, maxu) = _search_arrays(fam, mode)
+    n, (m, width), citems = fam.n_items, copies.shape, copies.ravel()
     # Colors past the n-th are never tried, so min(r, n) columns suffice.
     r_eff = min(r, n)
     ccnt, ccol, cmix = (np.zeros(m, dtype=np.int64) for _ in range(3))
@@ -242,8 +233,8 @@ def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0:
 
     def call(limit):
         return kernels.dfs_bad_coloring(
-            *csr, r_eff, col, nxt, maxu, ccnt, ccol, cmix, *mixed, state, limit,
-            forbid, nforb, *forbids,
+            citems, width, *csr, r_eff, col, nxt, maxu, ccnt, ccol, cmix, *mixed,
+            limit, state, forbid, nforb, *forbids,
         )
 
     status = _run_chunks(call, state, budget, t0)
@@ -305,13 +296,13 @@ def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float
             f"degree search handles at most {_MAX_MASK_COLORS} colors; "
             f"{r_eff} are in play ({n} items, r={r})"
         )
-    csr, (col, nxt, maxu) = _search_arrays(fam, mode)
-    clen = csr[2]
-    cap = min(r_eff, int(clen.min()))
-    # Along one path a copy gains each of at most min(r, its size) colors once.
-    undo = _trail(n, len(clen) * min(r_eff, int(clen.max())))
-    cval = clen.copy()
-    cmask = np.zeros(len(clen), dtype=np.int64)
+    copies, csr, (col, nxt, maxu) = _search_arrays(fam, mode)
+    m, width = copies.shape
+    cap = min(r_eff, width)
+    # Along one path a copy gains each of at most cap colors once.
+    undo = _trail(n, m * cap)
+    cval = np.full(m, width, dtype=np.int64)
+    cmask = np.zeros(m, dtype=np.int64)
     hist = np.zeros(cap, dtype=np.int64)
     best_col = np.full(n, -1, dtype=np.int64)
     state = np.zeros(3, dtype=np.int64)
@@ -319,7 +310,7 @@ def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float
     def call(limit):
         return kernels.dfs_degree(
             *csr, r_eff, cap, col, nxt, maxu, cval, cmask, *undo,
-            state, best_col, limit, hist,
+            best_col, limit, hist, state,
         )
 
     status = _run_chunks(call, state, budget, t0)

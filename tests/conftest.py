@@ -591,13 +591,9 @@ def copy_family_loop(S, T, V, category):
 
 
 def csr_loop(copies, n_items):
-    """Loop reference for ``search._csr``: each item lists the copies that
-    contain it in the order the copies come."""
-    cstart = [0]
-    for cp in copies:
-        cstart.append(cstart[-1] + len(cp))
-    citems = [it for cp in copies for it in cp]
-    clen = [len(cp) for cp in copies]
+    """Loop reference for the item -> copies arrays (istart, icopies) of
+    ``search._search_arrays``: each item lists the copies that contain it
+    in the order the copies come."""
     member = [[] for _ in range(n_items)]
     for i, cp in enumerate(copies):
         for it in cp:
@@ -606,10 +602,10 @@ def csr_loop(copies, n_items):
     for m in member:
         istart.append(istart[-1] + len(m))
     icopies = [i for m in member for i in m]
-    return cstart, citems, clen, istart, icopies
+    return istart, icopies
 
 
-def dfs_bad_coloring_loop(cstart, citems, clen, istart, icopies, order, r,
+def dfs_bad_coloring_loop(width, istart, icopies, order, r,
                           col, nxt, maxu, ccnt, ccol, cmix, ubuf, ulen,
                           state, node_budget):
     """Loop reference for ``kernels.dfs_bad_coloring`` without forward
@@ -651,7 +647,7 @@ def dfs_bad_coloring_loop(cstart, citems, clen, istart, icopies, order, r,
             dead = False
             for tpos in range(istart[it], istart[it + 1]):
                 k = icopies[tpos]
-                if ccnt[k] + 1 == clen[k] and cmix[k] == 0:
+                if ccnt[k] + 1 == width and cmix[k] == 0:
                     if ccnt[k] == 0 or ccol[k] == c:
                         dead = True
                         break
@@ -702,16 +698,16 @@ def _popcount(x):
     return c
 
 
-def dfs_degree_loop(cstart, citems, clen, istart, icopies, order, r, ncopies,
+def dfs_degree_loop(width, istart, icopies, order, r, ncopies,
                     col, nxt, maxu, ccnt, cmask, ubuf, ulen,
                     state, best_col, node_budget):
     """Loop reference for ``kernels.dfs_degree`` that recomputes the bound
     over all ``ncopies`` copies at every node, from ccnt (assigned items per
     copy) and cmask (colors per copy).
 
-    state = [depth, explored, best, cap] where cap = min(r, smallest copy
-    size) is an a-priori upper bound; the search stops early when best
-    reaches it.  best_col holds the witness coloring for the current best.
+    state = [depth, explored, best, cap] where cap = min(r, width) is an
+    a-priori upper bound; the search stops early when best reaches it.
+    best_col holds the witness coloring for the current best.
     """
     n = order.shape[0]
     d = state[0]
@@ -775,7 +771,7 @@ def dfs_degree_loop(cstart, citems, clen, istart, icopies, order, r, ncopies,
             ub = cap
             for k in range(ncopies):
                 pc = _popcount(cmask[k])
-                rem = clen[k] - ccnt[k]
+                rem = width - ccnt[k]
                 room = r - pc
                 if rem < room:
                     room = rem

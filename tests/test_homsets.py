@@ -226,6 +226,19 @@ def test_count_rigid_surjections_formula():
     assert tc.count_rigid_surjections(tc.chain(8), C2, cap=10) == 11  # clamped
 
 
+def test_count_rigid_surjections_past_max_hom_raises_unless_capped():
+    # 2,455,714,800 rigid surjections; without a cap the count once read
+    # max_hom + 1 = 200,001 as if it were exact.
+    T = tc.parse_tree("(((()()()(())((())())()(())()()(()()))))")
+    S = tc.parse_tree("(((()())))")
+    for count in (tc.count_rigid_surjections, tc.enumerate_rigid_surjections):
+        with pytest.raises(BudgetExceededError, match="more than max_hom=200000") as exc:
+            count(T, S)
+        assert exc.value.kind == "max_hom"
+    assert tc.count_rigid_surjections(T, S, cap=10**12) == 2_455_714_800
+    assert tc.count_rigid_surjections(T, S, cap=10) == 11
+
+
 def _raw_rows(S, V):
     """Every surjection-half x embedding-half row of values, valid or not."""
     surj = np.array(list(itertools.product(range(S.n), repeat=V.n))).reshape(-1, V.n)

@@ -6,8 +6,10 @@ connection_rows, rigid_count and rigid_fill, the doubling sweep) and the
 pruned searches must agree with the loop references in conftest, and must
 check max_hom before they allocate."""
 
+import ast
 import hashlib
 import importlib.util
+import inspect
 import itertools
 import os
 import subprocess
@@ -238,34 +240,34 @@ D1 = tc.doubling_tree(C2).tree
 D2 = tc.doubling_tree(D1).tree
 
 
-def _undo_rows(csr):
+def _undo_rows(istart):
     """The loop references' undo buffer: one row per depth, as wide as the
     most copies through an item."""
-    degree = np.diff(csr[3])
+    degree = np.diff(istart)
     rows, width = max(len(degree), 1), max(int(degree.max(initial=0)), 1)
     return np.zeros((rows, width), dtype=np.int64), np.zeros(rows, dtype=np.int64)
 
 
 def _bad_coloring_reference(fam, r, mode):
-    csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
-    ncopies = len(csr[2])
+    copies, csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
+    ncopies, width = copies.shape
     per_copy = [np.zeros(ncopies, dtype=np.int64) for _ in range(3)]  # ccnt, ccol, cmix
     state = np.zeros(2, dtype=np.int64)
-    status = dfs_bad_coloring_loop(*csr, r, col, nxt, maxu, *per_copy, *_undo_rows(csr),
-                                   state, 10**9)
+    status = dfs_bad_coloring_loop(width, *csr, r, col, nxt, maxu, *per_copy,
+                                   *_undo_rows(csr[0]), state, 10**9)
     coloring = tuple(int(c) for c in col) if status == kernels.FOUND else None
     return status, coloring, int(state[1])
 
 
 def _degree_reference(fam, r, mode):
-    csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
-    clen = csr[2]
+    copies, csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
+    ncopies, width = copies.shape
     r_eff = min(r, fam.n_items)
-    ccnt, cmask = np.zeros(len(clen), dtype=np.int64), np.zeros(len(clen), dtype=np.int64)
+    ccnt, cmask = np.zeros(ncopies, dtype=np.int64), np.zeros(ncopies, dtype=np.int64)
     best_col = np.full(fam.n_items, -1, dtype=np.int64)
-    state = np.array([0, 0, 0, min(r_eff, int(clen.min()))], dtype=np.int64)
-    status = dfs_degree_loop(*csr, r_eff, len(clen), col, nxt, maxu, ccnt, cmask,
-                             *_undo_rows(csr), state, best_col, 10**9)
+    state = np.array([0, 0, 0, min(r_eff, width)], dtype=np.int64)
+    status = dfs_degree_loop(width, *csr, r_eff, ncopies, col, nxt, maxu, ccnt, cmask,
+                             *_undo_rows(csr[0]), state, best_col, 10**9)
     return status, int(state[2]), tuple(int(c) for c in best_col), int(state[1])
 
 
@@ -287,6 +289,11 @@ def _recorded_calls(name, run):
     return calls
 
 
+def _bound_args(kernel, args):
+    """The arguments of one call of ``kernel``, by parameter name."""
+    return inspect.signature(kernels.py_func(kernel)).bind(*args).arguments
+
+
 def _assert_backends_agree(kernel, calls):
     """Each recorded call of ``kernel`` (numba, or the interpreted kernel on
     memoryviews) returns the same status and leaves every array as
@@ -298,6 +305,19 @@ def _assert_backends_agree(kernel, calls):
         assert kernels.py_func(kernel)(*args) == status
         arrays = [a for a in args if isinstance(a, np.ndarray)]
         assert all(np.array_equal(a, b) for a, b in zip(arrays, after, strict=True))
+
+
+@pytest.mark.parametrize("name", ["dfs_bad_coloring", "dfs_degree", "pair_filter"])
+def test_loop_kernels_read_every_parameter(name):
+    # An argument that the kernel never reads is dead weight at every call.
+    [fn] = ast.parse(inspect.getsource(kernels.py_func(getattr(kernels, name)))).body
+    params = [a.arg for a in fn.args.args]
+    loaded = {node.id for node in ast.walk(fn)
+              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert [p for p in params if p not in loaded] == []
+    if name != "pair_filter":
+        # The benchmark's tracer reads the node count from argument 15.
+        assert params.index("state") == 15
 
 
 def test_interpreted_kernels_run_on_memoryviews():
@@ -416,17 +436,18 @@ def test_search_trails_stay_within_their_bounds(monkeypatch):
 
     def arrow(*args):
         status = dfs_bad(*args)
-        m = len(args[2])
-        assert args[14].max() <= m and args[20].max() <= m
-        used["mixed"] = max(used["mixed"], int(args[14].max()))
-        used["forbids"] = max(used["forbids"], int(args[20].max()))
+        a = _bound_args(dfs_bad, args)
+        m = len(a["ccnt"])
+        assert a["ustart"].max() <= m and a["fstart"].max() <= m
+        used["mixed"] = max(used["mixed"], int(a["ustart"].max()))
+        used["forbids"] = max(used["forbids"], int(a["fstart"].max()))
         return status
 
     def degree(*args):
         status = dfs_deg(*args)
-        clen, r = args[2], args[6]
-        assert args[14].max() <= len(clen) * min(r, int(clen.max()))
-        used["degree"] = max(used["degree"], int(args[14].max()))
+        a = _bound_args(dfs_deg, args)
+        assert a["ustart"].max() <= len(a["cval"]) * a["cap"]
+        used["degree"] = max(used["degree"], int(a["ustart"].max()))
         return status
 
     dfs_bad, dfs_deg = kernels.dfs_bad_coloring, kernels.dfs_degree
@@ -519,8 +540,8 @@ def test_connection_rows_do_not_depend_on_block_size(monkeypatch):
 
 def test_resumable_search_pauses_and_resumes():
     fam = tc.copy_family(C2, C3, tc.chain(6), tc.INC_INJ)
-    csr, (col, nxt, maxu) = search._search_arrays(fam, "canonical")
-    n, ncopies = fam.n_items, len(csr[2])
+    copies, csr, (col, nxt, maxu) = search._search_arrays(fam, "canonical")
+    n, (ncopies, width) = fam.n_items, copies.shape
     ccnt, ccol, cmix = (np.zeros(ncopies, dtype=np.int64) for _ in range(3))
     forbid = np.zeros(n * 2, dtype=np.int64)
     nforb = np.zeros(n, dtype=np.int64)
@@ -529,8 +550,8 @@ def test_resumable_search_pauses_and_resumes():
     pauses = 0
     while True:
         status = kernels.dfs_bad_coloring(
-            *csr, 2, col, nxt, maxu, ccnt, ccol, cmix, *mixed, state, int(state[1]) + 50,
-            forbid, nforb, *forbids,
+            copies.ravel(), width, *csr, 2, col, nxt, maxu, ccnt, ccol, cmix, *mixed,
+            int(state[1]) + 50, state, forbid, nforb, *forbids,
         )
         if status != kernels.PAUSED:
             break
@@ -561,7 +582,7 @@ def test_searches_resume_to_the_one_shot_result(monkeypatch, chunk):
 
 @pytest.mark.skipif(importlib.util.find_spec("numba") is not None,
                     reason="numba is installed")
-def test_explicit_numba_backend_without_numba_fails_at_import():
+def test_backend_without_numba_is_python():
     # Without numba the package imports and runs the interpreted kernels.
     env = dict(os.environ, PYTHONPATH=str(Path(tc.__file__).parents[1]))
     code = "import treeconn; print(treeconn.kernels.BACKEND)"

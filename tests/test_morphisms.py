@@ -199,6 +199,22 @@ def test_complete_strong_examples():
     assert tc.complete_strong(total).surj.values == (0, 1, 2)
 
 
+def test_complete_strong_outputs_are_connections():
+    # complete_strong validates only its input; every completion over these
+    # psc Hom-sets passes validate_connection, and distinct pairs complete
+    # to distinct connections.
+    outs, pairs = set(), 0
+    for S in tc.all_trees_up_to(4):
+        for T in tc.all_trees_up_to(6):
+            for p in tc.enumerate_psc(S, T):
+                c = tc.complete_strong(p)
+                assert c.category == tc.CONN
+                tc.validate_connection(c)
+                outs.add((S, T, c.key()))
+                pairs += 1
+    assert len(outs) == pairs == 3459
+
+
 def test_complete_strong_rejects_non_strong():
     with pytest.raises(InvalidMorphismError):
         dbl = tc.doubling_tree(C2)

@@ -14,7 +14,6 @@ from treeconn.errors import DegenerateInputError, InvalidMorphismError
 from treeconn import homsets
 from treeconn.homsets import HomSet, _emb_rows, _row_keys
 from treeconn.morphisms import FAILURES
-from treeconn.search import _csr
 from conftest import (copy_family_loop, csr_loop, naive_bad_coloring, naive_degree, small_trees,
                       verify_lower_bound_direct_loop, verify_no_ramsey_loop)
 
@@ -93,26 +92,32 @@ def test_copy_family_validates_each_distinct_composite_once(monkeypatch):
         tc.copy_family(C2, D1, D2, tc.PSC)
 
 
-def test_csr_matches_loop_reference():
-    fam = tc.copy_family(C2, D1, D2, tc.CONN)
-    cases = [(sorted(set(fam.copies)), len(fam.hom_sv)), ([(1, 3), (0, 3), (3, 4)], 5),
-             ([(2,), (0,)], 3), (np.empty((0, 2), dtype=np.int64), 0)]
-    for copies, n in cases:
-        got = _csr(np.asarray(copies, dtype=np.int64), n)
-        want = csr_loop(copies, n)
-        assert len(got) == len(want)
-        for a, b in zip(got, want):
+def _assert_search_arrays_match_loop(fam, want):
+    """_search_arrays keeps the distinct copies ``want`` in order, and its
+    item -> copies arrays are csr_loop's over them."""
+    for mode in ("canonical", "fast"):
+        copies, (istart, icopies, _), _ = search._search_arrays(fam, mode)
+        assert copies.tolist() == [list(cp) for cp in want]
+        for a, b in zip((istart, icopies), csr_loop(want, fam.n_items), strict=True):
             assert a.dtype == np.int64
             assert a.tolist() == b
+
+
+def test_csr_matches_loop_reference():
+    # Small hand-made families too: a repeated copy, one-item copies and no copies.
+    fam = tc.copy_family(C2, D1, D2, tc.CONN)
+    cases = [(fam.rows, len(fam.hom_sv)), ([(1, 3), (0, 3), (3, 4), (0, 3)], 5),
+             ([(2,), (0,)], 3), (np.empty((0, 2), dtype=np.int64), 0)]
+    for rows, n in cases:
+        rows = np.asarray(rows, dtype=np.int64)
+        _assert_search_arrays_match_loop(SimpleNamespace(rows=rows, n_items=n),
+                                         sorted(set(map(tuple, rows.tolist()))))
 
 
 def _assert_distinct_copies_match_unique(fam):
     # Reference: np.unique over the row keys, first occurrences in key order.
     _, first = np.unique(_row_keys(fam.rows), return_index=True)
-    for mode in ("canonical", "fast"):
-        csr, _ = search._search_arrays(fam, mode)
-        want = _csr(fam.rows[first], fam.n_items)
-        assert all(np.array_equal(a, b) for a, b in zip(csr[:5], want))
+    _assert_search_arrays_match_loop(fam, fam.rows[first].tolist())
 
 
 @pytest.mark.parametrize("S, T, V, category, copies", [
@@ -128,7 +133,7 @@ def test_search_arrays_keep_one_of_each_repeated_copy(S, T, V, category, copies)
 def test_search_arrays_memory_on_a_dense_family():
     # conn-root chain2 -> doubling -> doubling^2 with two more leaves: 117,859
     # copies of 12 items.  np.unique over bytes keys of the copies peaked at
-    # 45 MB; what is left is mostly _csr's argsort.
+    # 45 MB; what is left is mostly the argsort behind the item -> copies arrays.
     V = tc.graft(D2, [0, 1], [tc.parse_forest("()")] * 2).tree
     fam = tc.copy_family(C2, D1, V, tc.CONN_ROOT)
     assert fam.rows.shape == (117_859, 12)
