@@ -5,6 +5,10 @@ embedding of its surjection half is stable under outer composition; it is
 the value of the powerset coloring and the quantity the searches in
 ``search`` revolve around.  The pruning operations restrict morphisms one
 top vertex at a time while recording that disagreement bit by bit.
+
+Every functor operation here validates its input once and builds an output
+that is valid by construction, without checking it again; the tests
+validate the outputs over whole Hom-sets.
 """
 
 from __future__ import annotations
@@ -40,9 +44,8 @@ def invariant_set(c: Connection) -> frozenset[int]:
     return frozenset(np.flatnonzero(diff).tolist())
 
 
-def powerset_coloring(c: Connection) -> frozenset[int]:
-    """The coloring by disagreement sets used in the degree experiments."""
-    return invariant_set(c)
+# The coloring by disagreement sets used in the degree experiments.
+powerset_coloring = invariant_set
 
 
 def two_coloring(x: int, c: Connection) -> int:
@@ -84,8 +87,8 @@ class AnnotatedPscHom:
         return self.hom.target
 
 
-def annotate(p: Connection, bits: tuple[int, ...] = ()) -> AnnotatedPscHom:
-    return AnnotatedPscHom(p, tuple(bits))
+def annotate(p: Connection) -> AnnotatedPscHom:
+    return AnnotatedPscHom(p)
 
 
 def compose_annotated(f: AnnotatedPscHom, g: Connection) -> AnnotatedPscHom:
@@ -93,8 +96,13 @@ def compose_annotated(f: AnnotatedPscHom, g: Connection) -> AnnotatedPscHom:
     return AnnotatedPscHom(compose(f.hom, g), f.bits)
 
 
-def _prune(hom: Connection) -> tuple[Connection, int]:
-    """One pruning step; it validates its input (by ``two_coloring``), not its output."""
+def prune_top(p: AnnotatedPscHom) -> AnnotatedPscHom:
+    """Drop the source's largest vertex, restricting both halves through the
+    embedding's image of the new top, and append one bit recording whether
+    the embedding disagreed with the induced embedding at the dropped vertex.
+    The input is validated by ``two_coloring``.
+    """
+    hom = p.hom
     S = hom.source
     if S.n < 2:
         raise InvalidMorphismError("cannot prune a single-vertex source")
@@ -104,17 +112,7 @@ def _prune(hom: Connection) -> tuple[Connection, int]:
     iw = hom.emb.values[w]
     surj = TreeMap(hom.target, Sw, hom.surj.values[: iw + 1], domain_top=iw)
     emb = TreeMap(Sw, hom.target, hom.emb.values[: w + 1])
-    return Connection(PSC, surj, emb), bit
-
-
-def prune_top(p: AnnotatedPscHom) -> AnnotatedPscHom:
-    """Drop the source's largest vertex, restricting both halves through the
-    embedding's image of the new top, and append one bit recording whether
-    the embedding disagreed with the induced embedding at the dropped vertex.
-    """
-    hom, bit = _prune(p.hom)
-    validate_connection(hom)
-    return AnnotatedPscHom(hom, p.bits + (bit,))
+    return AnnotatedPscHom(Connection(PSC, surj, emb), p.bits + (bit,))
 
 
 def lower_top(q: Connection) -> Connection:
@@ -122,7 +120,7 @@ def lower_top(q: Connection) -> Connection:
 
     Defined exactly when the current pruning bit is 1 (the two tops differ);
     the surjection is restricted accordingly and the result always carries
-    pruning bit 0.
+    pruning bit 0.  The input is validated by ``two_coloring``.
     """
     if q.category != PSC:
         raise InvalidMorphismError("lower_top applies to partial strong pairs")
@@ -132,9 +130,7 @@ def lower_top(q: Connection) -> Connection:
         raise InvalidMorphismError("embedding already agrees with the induced embedding at the top")
     target_top = induced_embedding(q.surj).values[v]
     vals = q.emb.values[:v] + (target_top,)
-    out = Connection(PSC, restrict(q.surj, target_top), TreeMap(S, q.target, vals))
-    validate_connection(out)
-    return out
+    return Connection(PSC, restrict(q.surj, target_top), TreeMap(S, q.target, vals))
 
 
 def prune_signature(p: Connection) -> frozenset[int]:
@@ -147,11 +143,10 @@ def prune_signature(p: Connection) -> frozenset[int]:
     if p.category != PSC:
         raise InvalidMorphismError("prune_signature applies to partial strong pairs")
     S = p.source
-    bits = []
-    while p.source.n > 1:
-        p, bit = _prune(p)
-        bits.append(bit)
-    members = frozenset(S.n - 1 - j for j, b in enumerate(bits) if b)
+    q = annotate(p)
+    while q.source.n > 1:
+        q = prune_top(q)
+    members = frozenset(S.n - 1 - j for j, b in enumerate(q.bits) if b)
     outside = members - marked_set(S)
     if outside:
         raise InvalidMorphismError(

@@ -122,8 +122,11 @@ def _rigid_rows(frm: OrderedTree, onto: OrderedTree, budget: Budget) -> np.ndarr
 def count_rigid_surjections(frm: OrderedTree, onto: OrderedTree,
                             budget: Budget = DEFAULT_BUDGET, *, cap: int | None = None) -> int:
     """Exact number of rigid surjections frm -> onto without materializing
-    them.  A count above ``cap`` reads cap + 1; without a cap, a count above
-    max_hom raises BudgetExceededError, as enumerating them does."""
+    them.  A count above ``cap`` reads cap + 1, and a negative cap is
+    refused with ValueError; without a cap, a count above max_hom raises
+    BudgetExceededError, as enumerating them does."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
     skels = _emb_rows(onto, frm, budget)
     if cap is None:
         return _rigid_count(frm, skels, budget)

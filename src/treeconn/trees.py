@@ -177,13 +177,18 @@ class Forest(_ParentStructure):
 # Text format: balanced parentheses, child order = textual order.
 # ---------------------------------------------------------------------------
 
-def _parse_groups(text: str) -> tuple[int, ...]:
+def _parse_groups(text: str) -> tuple[tuple[int, ...], list[int]]:
+    """The parent sequence of the groups in ``text`` and the offset at which
+    each top-level group starts."""
     parent: list[int] = []
     stack: list[int] = []
+    starts: list[int] = []
     for i, ch in enumerate(text):
         if ch.isspace():
             continue
         if ch == "(":
+            if not stack:
+                starts.append(i)
             parent.append(stack[-1] if stack else ROOT)
             stack.append(len(parent) - 1)
         elif ch == ")":
@@ -194,30 +199,22 @@ def _parse_groups(text: str) -> tuple[int, ...]:
             raise ParseError(f"unexpected character {ch!r}", i)
     if stack:
         raise ParseError("unbalanced '(': group never closed", len(text))
-    return tuple(parent)
+    return tuple(parent), starts
 
 
 def parse_tree(text: str) -> OrderedTree:
     """Parse a single balanced-parenthesis group into a tree."""
-    parent = _parse_groups(text)
+    parent, starts = _parse_groups(text)
     if not parent:
         raise ParseError("empty input", 0)
-    if sum(1 for p in parent if p == ROOT) > 1:
-        # Recover the byte offset of the second top-level group.
-        depth = 0
-        for i, ch in enumerate(text):
-            if ch == "(":
-                if depth == 0 and i > text.index("("):
-                    raise ParseError("more than one top-level group", i)
-                depth += 1
-            elif ch == ")":
-                depth -= 1
+    if len(starts) > 1:
+        raise ParseError("more than one top-level group", starts[1])
     return OrderedTree(parent)
 
 
 def parse_forest(text: str) -> Forest:
     """Parse zero or more balanced-parenthesis groups into a forest."""
-    return Forest(_parse_groups(text))
+    return Forest(_parse_groups(text)[0])
 
 
 def format_tree(t: OrderedTree) -> str:

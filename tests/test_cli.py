@@ -42,6 +42,12 @@ def test_tree_argument_forms(tmp_path, capsys):
     p.write_text(json.dumps(tc.tree_to_record(tc.chain(3))))
     assert run_cli(capsys, "enum", "embeddings", "chain2", str(p), "--count")[1] == "2\n"
     assert run_cli(capsys, "enum", "embeddings", "(())", "((()))", "--count")[1] == "2\n"
+    # Tree and forest files may also hold parenthesis text.
+    tree, forest = tmp_path / "t.txt", tmp_path / "f.txt"
+    tree.write_text("((()))\n")
+    forest.write_text("()(())\n")
+    assert run_cli(capsys, "enum", "embeddings", "chain2", str(tree), "--count")[:2] == (0, "2\n")
+    assert run_cli(capsys, "construct", "add-root", str(forest))[:2] == (0, "(()(()))\n")
 
 
 def test_construct_commands(tmp_path, capsys):
@@ -96,6 +102,9 @@ def test_verify_commands(capsys):
 def test_input_and_budget_exit_codes(capsys):
     code, _, err = run_cli(capsys, "enum", "embeddings", "((", "chain3")
     assert code == 3 and "parse error" in err
+    # Neither a file, a literal nor chainK.
+    code, out, err = run_cli(capsys, "enum", "embeddings", "chain2", "chain")
+    assert (code, out, err) == (3, "", "error: cannot resolve tree argument 'chain'\n")
     code, _, err = run_cli(capsys, "--budget-max-vertices", "3",
                            "enum", "conn", "chain2", "chain4", "--count")
     assert code == 2 and "budget" in err

@@ -1,12 +1,27 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import treeconn as tc
 from treeconn import morphisms
-from treeconn.colorings import _prune
 from treeconn.errors import InvalidMorphismError
 
 C2, C3 = tc.chain(2), tc.chain(3)
+
+
+@pytest.fixture
+def row_checks(monkeypatch):
+    """A list that gains one entry per ``morphisms.row_failures`` call."""
+    calls = []
+    row_failures = morphisms.row_failures
+
+    def counted(*args):
+        calls.append(1)
+        return row_failures(*args)
+
+    monkeypatch.setattr(morphisms, "row_failures", counted)
+    return calls
 
 
 def tmap(S, T, vals, top=None):
@@ -114,7 +129,7 @@ def test_prune_bit_zero_when_embedding_is_induced():
         for T in tc.all_trees_up_to(4):
             for p in tc.enumerate_psc(S, T):
                 ind = tc.induced_embedding(p.surj)
-                _, bit = _prune(p)
+                bit = tc.prune_top(tc.annotate(p)).bits[-1]
                 assert bit == int(ind.values[S.n - 1] != p.emb.values[S.n - 1])
 
 
@@ -124,23 +139,45 @@ def test_lower_top_example():
     out = tc.lower_top(q)
     assert out.surj.values == (0, 1)
     assert out.emb.values == (0, 1)
-    _, bit = _prune(out)
-    assert bit == 0
+    assert tc.prune_top(tc.annotate(out)).bits == (0,)
     with pytest.raises(InvalidMorphismError):
         tc.lower_top(out)  # bit already 0
 
 
-def test_lower_top_always_clears_bit():
-    for S in tc.all_trees_up_to(3):
+def test_prune_top_outputs_are_connections():
+    # prune_top validates only its input; every output over these psc
+    # Hom-sets passes validate_connection on the source without its top.
+    outs = 0
+    for S in tc.all_trees_up_to(4):
         if S.n < 2:
             continue
-        for T in tc.all_trees_up_to(5):
+        for T in tc.all_trees_up_to(6):
             for p in tc.enumerate_psc(S, T):
-                if _prune(p)[1] != 1:
+                out = tc.prune_top(tc.annotate(p)).hom
+                assert out.category == tc.PSC
+                assert out.source == tc.initial_subtree(S, S.n - 2)
+                tc.validate_connection(out)
+                outs += 1
+    assert outs == 3394
+
+
+def test_lower_top_outputs_are_connections():
+    # lower_top validates only its input; every output over these psc
+    # Hom-sets passes validate_connection and has pruning bit 0.
+    outs = 0
+    for S in tc.all_trees_up_to(4):
+        if S.n < 2:
+            continue
+        for T in tc.all_trees_up_to(6):
+            for p in tc.enumerate_psc(S, T):
+                if not tc.two_coloring(S.n - 1, p):
                     continue
                 out = tc.lower_top(p)
+                assert out.category == tc.PSC and out.source == S
                 tc.validate_connection(out)
-                assert _prune(out)[1] == 0
+                assert tc.prune_top(tc.annotate(out)).bits == (0,)
+                outs += 1
+    assert outs == 974
 
 
 def test_prune_signature_examples():
@@ -157,23 +194,15 @@ def test_prune_signature_equals_invariant_set():
                 assert tc.prune_signature(p) == tc.invariant_set(p)
 
 
-def test_prune_signature_checks_each_step_once(monkeypatch):
+def test_prune_signature_checks_each_step_once(row_checks):
     # Each step's input check covers the previous step's output: S.n - 1
     # validity checks in all, one per pruning step.
-    calls = []
-    row_failures = morphisms.row_failures
-
-    def counted(*args):
-        calls.append(1)
-        return row_failures(*args)
-
-    monkeypatch.setattr(morphisms, "row_failures", counted)
     V = tc.doubling_tree(tc.doubling_tree(C2).tree).tree
     for S in tc.all_trees_up_to(4):
         for p in list(tc.enumerate_psc(S, V))[::7]:
-            calls.clear()
+            row_checks.clear()
             tc.prune_signature(p)
-            assert len(calls) == S.n - 1
+            assert len(row_checks) == S.n - 1
     bad = tc.Connection(tc.PSC, tmap(C3, C2, (0, 0, 1)), tmap(C2, C3, (0, 1)))
     with pytest.raises(InvalidMorphismError):
         tc.prune_signature(bad)
@@ -194,3 +223,32 @@ def test_annotated_composition_keeps_bits():
         for g in outer[:5]:
             composed = tc.compose_annotated(ann, g)
             assert composed.bits == ann.bits
+
+
+def _morphisms():
+    dbl = tc.doubling_tree(C2)
+    T = dbl.tree
+    q = tc.Connection(tc.PSC, tmap(T, C2, (0, 1, 1), top=2), tmap(C2, T, (0, 2)))
+    return SimpleNamespace(c=dbl.connection_for({1}), q=q, ann=tc.annotate(q),
+                           g=tc.identity_connection(T), h=tc.identity_connection(T, tc.PSC))
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m: tc.validate_connection(m.c), id="validate_connection"),
+    pytest.param(lambda m: tc.to_strong(m.c), id="to_strong"),
+    pytest.param(lambda m: tc.complete_strong(m.q), id="complete_strong"),
+    pytest.param(lambda m: tc.compose(m.c, m.g), id="compose"),
+    pytest.param(lambda m: tc.compose_annotated(m.ann, m.h), id="compose_annotated"),
+    pytest.param(lambda m: tc.invariant_set(m.c), id="invariant_set"),
+    pytest.param(lambda m: tc.two_coloring(1, m.c), id="two_coloring"),
+    pytest.param(lambda m: tc.powerset_coloring(m.c), id="powerset_coloring"),
+    pytest.param(lambda m: tc.prune_top(m.ann), id="prune_top"),
+    pytest.param(lambda m: tc.lower_top(m.q), id="lower_top"),
+])
+def test_single_morphism_calls_check_once(call, row_checks):
+    # Each call validates its input (or, for compose, the composite) once
+    # and trusts the output it builds.
+    m = _morphisms()
+    row_checks.clear()
+    call(m)
+    assert len(row_checks) == 1

@@ -226,6 +226,15 @@ def test_count_rigid_surjections_formula():
     assert tc.count_rigid_surjections(tc.chain(8), C2, cap=10) == 11  # clamped
 
 
+def test_count_rigid_surjections_refuses_a_negative_cap():
+    T = tc.parse_tree("(()()())")
+    assert tc.count_rigid_surjections(T, tc.chain(2)) == 3
+    assert tc.count_rigid_surjections(T, tc.chain(2), cap=0) == 1  # clamped
+    for cap in (-1, -5):
+        with pytest.raises(ValueError, match=f"^cap must be non-negative, got {cap}$"):
+            tc.count_rigid_surjections(T, tc.chain(2), cap=cap)
+
+
 def test_count_rigid_surjections_past_max_hom_raises_unless_capped():
     # 2,455,714,800 rigid surjections; without a cap the count once read
     # max_hom + 1 = 200,001 as if it were exact.

@@ -585,3 +585,55 @@ def test_no_ramsey_needs_branching_image():
     i = tc.TreeMap(C3, C3, (0, 1, 2))
     with pytest.raises(InvalidMorphismError, match="agrees with the induced"):
         tc.verify_no_ramsey(C3, C3, 1, s, i, C3)
+    # (s, i) disagrees at 1, but vertex 1 of chain3, its induced image,
+    # has one child.
+    s = tc.TreeMap(C3, C2, (0, 1, 1))
+    i = tc.TreeMap(C2, C3, (0, 2))
+    with pytest.raises(InvalidMorphismError,
+                       match="^hypothesis failed: induced image of 1 has fewer than two "
+                             "immediate successors$"):
+        tc.verify_no_ramsey(C2, C3, 1, s, i, C3)
+
+
+def test_factored_lower_bound_reports_its_violations():
+    # Each first double moved onto its base vertex: the identity pair of
+    # the sweep breaks the stability condition.
+    dbl = tc.doubling_tree(tc.parse_tree("((()))"))
+    planted = dataclasses.replace(
+        dbl, doubles={x: (dbl.base_index[x], d[1]) for x, d in dbl.doubles.items()})
+    V = dbl.tree
+    rep = search._verify_lower_bound_factored(planted, V, _emb_rows(V, V, tc.DEFAULT_BUDGET))
+    ident = tuple(range(V.n))
+    assert (rep.ok, rep.checked, rep.method) == (False, 4, "factored")
+    assert rep.details == (
+        f"skeleton {ident} with embedding {ident} breaks the stability condition",)
+    assert rep.summary() == (
+        "doubling-coloring-stability: FAIL (4 checks, factored)\n  " + rep.details[0])
+
+
+def _no_disagreements(category, S, T, rows):
+    return np.zeros((len(rows), S.n), dtype=bool)
+
+
+def test_direct_lower_bound_reports_at_most_16_violations(monkeypatch):
+    # With every composite colored by the empty set, each outer morphism
+    # fails for the subset {1}.
+    monkeypatch.setattr(search, "row_disagreements", _no_disagreements)
+    rep = tc.verify_lower_bound(C2, D2, method="direct")
+    assert (rep.ok, rep.checked, len(rep.details)) == (False, 1062, 16)
+    assert rep.details[0] == "outer surj (0, 0, 0, 0, 0, 1, 2, 3) emb (0, 5, 6, 7): subset [1] colored []"
+    assert all(d.endswith(": subset [1] colored []") for d in rep.details)
+    assert len(set(rep.details)) == 16
+    assert rep.summary().splitlines()[0] == "doubling-coloring-stability: FAIL (1062 checks, direct)"
+    assert rep.summary().splitlines()[1:] == ["  " + d for d in rep.details]
+
+
+def test_no_ramsey_reports_at_most_16_violations(monkeypatch):
+    monkeypatch.setattr(search, "row_disagreements", _no_disagreements)
+    w = tc.doubling_tree(C2).connection_for({1})
+    rep = tc.verify_no_ramsey(C2, D1, 1, w.surj, w.emb, D2)
+    assert (rep.ok, rep.checked, len(rep.details)) == (False, 531, 16)
+    assert rep.details[0] == "outer surj (0, 0, 0, 0, 0, 1, 2, 3) emb (0, 5, 6, 7): colors (0, 0)"
+    assert all(d.endswith(": colors (0, 0)") for d in rep.details)
+    assert len(set(rep.details)) == 16
+    assert rep.summary().splitlines()[0] == "two-coloring-separation: FAIL (531 checks, direct)"

@@ -24,7 +24,7 @@ def test_format_basics():
 
 @pytest.mark.parametrize(
     "text,offset",
-    [("", 0), ("(()", 3), ("())", 2), ("(a)", 1), ("()()", 2)],
+    [("", 0), ("(()", 3), ("())", 2), ("(a)", 1), ("()()", 2), ("()())", 4), (" () ()", 4)],
 )
 def test_parse_errors_carry_offsets(text, offset):
     with pytest.raises(ParseError) as exc:
