@@ -224,10 +224,13 @@ def _cmd_verify(args) -> int:
     dbl = doubling_tree(S)
     V = _resolve_witness(args.witness, dbl.tree)
     if args.check == "lower-bound":
+        if args.vertex is not None:
+            raise ValueError("--vertex applies only to verify no-ramsey")
         report = verify_lower_bound(S, V, budget)
     else:  # no-ramsey
-        w = dbl.connection_for({args.vertex})
-        report = verify_no_ramsey(S, dbl.tree, args.vertex, w.surj, w.emb, V, budget)
+        vertex = 1 if args.vertex is None else args.vertex
+        w = dbl.connection_for({vertex})
+        report = verify_no_ramsey(S, dbl.tree, vertex, w.surj, w.emb, V, budget)
     _emit(report.summary(), args.out)
     return 0 if report.ok else 1
 
@@ -262,6 +265,8 @@ def _cmd_functor(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    if args.labels is not None and not args.dot:
+        raise ValueError("--labels applies only to export --dot")
     t = load_tree(args.tree)
     if args.dot:
         labels = _labels_from_table(args.labels, t.n) if args.labels else None
@@ -322,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("check", choices=("lower-bound", "no-ramsey"))
     p.add_argument("source")
     p.add_argument("--witness", default="self", help="self | double | tree argument")
-    p.add_argument("--vertex", type=int, default=1, help="marked vertex for no-ramsey")
+    p.add_argument("--vertex", type=int, default=None,
+                   help="marked vertex for no-ramsey (default 1)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_verify)
 
@@ -339,9 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="print a tree in text, JSON, or dot form")
     p.add_argument("tree")
-    p.add_argument("--dot", action="store_true")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--labels", help="translation table from construct doubling")
+    form = p.add_mutually_exclusive_group()
+    form.add_argument("--dot", action="store_true")
+    form.add_argument("--json", action="store_true")
+    p.add_argument("--labels", help="translation table from construct doubling (with --dot)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_export)
 

@@ -11,13 +11,13 @@ composites in Hom(S, V), all on these arrays.
 Embeddings are built level by level, within ``max_hom`` at every level, and
 every other Hom-set is generated from them: a rigid surjection is the unique
 extension of its induced embedding (its skeleton) by choices at the
-positions off the skeleton.  Connections and partial strong pairs (cut at
-the embedding's top) are generated pair-first, in one pass: each (skeleton,
-embedding) pair that can carry a connection is expanded directly over the
-values its free positions allow, so ``max_hom`` bounds the output before any
-row exists and no skeleton x embedding cross product is built.  Rigid
-surjections, one skeleton each, are expanded the same way.  Filter-all-maps
-oracles live in the test suite.
+positions off the skeleton.  Connections, partial strong pairs (cut at the
+embedding's top) and rigid surjections take one pass each: every (skeleton,
+embedding) pair that can carry a connection, or every rigid skeleton, is
+expanded directly over the values its free positions allow, so ``max_hom``
+bounds the output before any row exists and no skeleton x embedding cross
+product is built (``kernels.rigid_fill`` is kept only for the benchmark
+tracer).  Filter-all-maps oracles live in the test suite.
 """
 
 from __future__ import annotations
@@ -102,20 +102,17 @@ def _emb_rows(S: OrderedTree, T: OrderedTree, budget: Budget, *, linear: bool = 
     return rows
 
 
-def _rigid_count(frm: OrderedTree, skels: np.ndarray, budget: Budget) -> int:
-    """Rigid surjections from frm with skeletons ``skels``, at most max_hom."""
-    count = kernels.rigid_count(skels, frm.anc, budget.max_hom)
-    if count > budget.max_hom:
-        raise BudgetExceededError(f"more than max_hom={budget.max_hom} rigid surjections",
-                                  kind="max_hom")
-    return count
+def _too_many_rigid(budget: Budget) -> BudgetExceededError:
+    return BudgetExceededError(f"more than max_hom={budget.max_hom} rigid surjections",
+                               kind="max_hom")
 
 
 def _rigid_rows(frm: OrderedTree, onto: OrderedTree, budget: Budget) -> np.ndarray:
     """Rows of rigid surjections frm -> onto, in lexicographic order."""
     skels = _emb_rows(onto, frm, budget)
-    out = np.empty((_rigid_count(frm, skels, budget), frm.n), dtype=np.int64)
-    kernels.rigid_fill(skels, frm.anc, out)
+    out = kernels._expand(kernels._rigid_blocks(skels, frm.anc), frm.n, budget.max_hom)
+    if out is None:
+        raise _too_many_rigid(budget)
     return out[np.lexsort(out.T[::-1])]
 
 
@@ -127,10 +124,11 @@ def count_rigid_surjections(frm: OrderedTree, onto: OrderedTree,
     BudgetExceededError, as enumerating them does."""
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
-    skels = _emb_rows(onto, frm, budget)
-    if cap is None:
-        return _rigid_count(frm, skels, budget)
-    return kernels.rigid_count(skels, frm.anc, cap)
+    count = kernels.rigid_count(_emb_rows(onto, frm, budget), frm.anc,
+                                budget.max_hom if cap is None else cap)
+    if cap is None and count > budget.max_hom:
+        raise _too_many_rigid(budget)
+    return count
 
 
 def enumerate_embeddings(S: OrderedTree, T: OrderedTree,

@@ -5,8 +5,9 @@ and partial strong pairs are generated pair-first: ``realizable_pairs`` finds
 the (skeleton, embedding) pairs that carry one, ``connection_rows`` expands
 each over its free positions (a psc pair's up to its embedding's top), and
 ``doubling_pair_sweep`` checks the doubling stability condition on them.
-Rigid surjections (``rigid_count``, ``rigid_fill``) share the mixed-radix
-expansion, one skeleton per pair.  All are plain numpy, in fixed-size blocks.
+Rigid surjections take one ``_expand`` pass over ``_rigid_blocks``, one
+skeleton per pair; ``rigid_count`` counts them, and ``rigid_fill`` is kept
+unused for the benchmark tracer.  All are plain numpy, in fixed-size blocks.
 
 The loop kernels (the two coloring searches and the unused ``pair_filter``)
 are compiled with numba when it imports and run interpreted otherwise, on
@@ -454,7 +455,7 @@ def _row_counts(allowed, cap):
     return np.minimum(prod, cap + 1).astype(np.int64)
 
 
-def _expand(blocks, width, max_out, out=None):
+def _expand(blocks, width, max_out):
     """Rows of every map the pairs of ``blocks`` allow, by mixed radix.
 
     blocks yields (allowed, tail) per block of pairs: allowed[k, y, x] says
@@ -462,8 +463,7 @@ def _expand(blocks, width, max_out, out=None):
     its rows is the map followed by tail[k], width entries in all.  A pair
     lists its maps with the last position fastest and values ascending, and
     pairs keep their order.  Returns None, before allocating any row, when
-    there are more than max_out rows; otherwise the rows, in ``out`` when it
-    is given.
+    there are more than max_out rows; otherwise the rows.
     """
     kept, total = [], 0
     for allowed, tail in blocks:
@@ -474,8 +474,7 @@ def _expand(blocks, width, max_out, out=None):
         # Kept pairs have a row each, so they number at most max_out.
         keep = counts > 0
         kept.append((allowed[keep], tail[keep], counts[keep]))
-    if out is None:
-        out = np.empty((total, width), dtype=np.int64)
+    out = np.empty((total, width), dtype=np.int64)
     pos = 0
     for allowed, tail, counts in kept:
         nt = allowed.shape[1]
@@ -491,7 +490,7 @@ def _expand(blocks, width, max_out, out=None):
             digits //= r
         block[:, nt:] = tail[pair]
         pos += n
-    return out[:total]
+    return out
 
 
 def connection_rows(skels, embs, dom, max_out, partial=False):
@@ -546,12 +545,14 @@ def rigid_count(skels, dom, cap):
 
 
 def rigid_fill(skels, dom, out):
-    """Write the surjections counted by ``rigid_count`` into ``out`` and
-    return their number.  Rows are grouped by skeleton, in mixed-radix order
-    over the free positions; the caller sorts them into canonical order."""
-    rows = _expand(_rigid_blocks(skels, dom), dom.shape[0], len(out), out)
+    """Write the surjections counted by ``rigid_count`` into ``out``, grouped
+    by skeleton in mixed-radix order, and return their number.  The library
+    expands rigid Hom-sets in one ``_expand`` pass and no longer calls this;
+    the benchmark tracer still resolves it by name."""
+    rows = _expand(_rigid_blocks(skels, dom), dom.shape[0], len(out))
     if rows is None:
         raise ValueError(f"more than {len(out)} rigid surjections; out is too short")
+    out[:len(rows)] = rows
     return len(rows)
 
 

@@ -405,20 +405,26 @@ def _verify_lower_bound_direct(dbl: DoublingResult, V: OrderedTree, rows: np.nda
     """The direct method; rows are the embeddings T -> V."""
     S, T = dbl.base, dbl.tree
     hom_tv = _connections(T, V, CONN, rows, budget)
-    subsets = list(dbl.subsets())
-    witnesses = HomSet(CONN, S, T, np.array(
-        [connection_to_row(dbl.connection_for(B)) for B in subsets]))
-    want = np.array([[x in B for x in range(S.n)] for B in subsets], dtype=bool)
+    # want[b] is the b-th subset of dbl.subsets() (bit i chooses marked[i]);
+    # its witness sends each chosen vertex to its first double.
+    marked = list(dbl.marked)
+    want = np.zeros((1 << len(marked), S.n), dtype=bool)
+    want[:, marked] = np.arange(len(want))[:, None] >> np.arange(len(marked)) & 1
+    base = np.array(dbl.base_index, dtype=np.int64)
+    first = base.copy()
+    first[marked] = [dbl.doubles[x][0] for x in marked]
+    surj = np.broadcast_to(np.array(dbl.surj.values, dtype=np.int64), (len(want), T.n))
+    witnesses = HomSet(CONN, S, T, np.hstack((surj, np.where(want, first, base))))
     bad: list[str] = []
     for lo, got in _composite_disagreements(witnesses, hom_tv):
         for g, b in np.argwhere((got != want).any(axis=2))[: 16 - len(bad)].tolist():
             bad.append(
-                f"{_outer(hom_tv, lo + g)}: subset {sorted(subsets[b])} "
+                f"{_outer(hom_tv, lo + g)}: subset {np.flatnonzero(want[b]).tolist()} "
                 f"colored {np.flatnonzero(got[g, b]).tolist()}"
             )
     ok = not bad and len(hom_tv) > 0
     return VerificationReport(
-        "doubling-coloring-stability", ok, len(hom_tv) * len(subsets), "direct", tuple(bad)
+        "doubling-coloring-stability", ok, len(hom_tv) * len(want), "direct", tuple(bad)
     )
 
 

@@ -97,6 +97,8 @@ def test_verify_commands(capsys):
     assert code == 0
     code, out, _ = run_cli(capsys, "verify", "no-ramsey", "chain2", "--vertex", "1")
     assert code == 0 and "pass" in out
+    # --vertex defaults to 1.
+    assert run_cli(capsys, "verify", "no-ramsey", "chain2") == (code, out, "")
 
 
 def test_input_and_budget_exit_codes(capsys):
@@ -150,6 +152,19 @@ def test_construct_refuses_extra_arguments(capsys, kind, extra):
     code, out, err = run_cli(capsys, "construct", kind, *inputs)
     assert (code, out) == (3, "")
     assert err == f"error: construct {kind} takes one argument and no --at\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("export chain3 --dot --json", "argument --json: not allowed with argument --dot"),
+    ("export chain3 --json --labels {table}", "error: --labels applies only to export --dot"),
+    ("verify lower-bound chain2 --vertex 7", "error: --vertex applies only to verify no-ramsey"),
+])
+def test_flags_that_do_not_apply_exit_3(tmp_path, capsys, argv, message):
+    # Each of these once exited 0 and dropped a flag without a word.
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps(tc.doubling_tree(tc.chain(2)).to_record()))
+    code, out, err = run_cli(capsys, *shlex.split(argv.format(table=table)))
+    assert (code, out) == (3, "") and message in err
 
 
 GOOD_RECORD = tc.connection_to_record(tc.doubling_tree(tc.chain(2)).connection_for({1}))

@@ -146,6 +146,54 @@ def test_psc_budget_is_exact_in_one_connection_rows_call(monkeypatch):
         assert info.value.kind == "max_hom"
 
 
+def _counted(monkeypatch, name):
+    """Record the calls of kernels.<name> and pass them through."""
+    calls = []
+    fn = getattr(kernels, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, name, counted)
+    return calls
+
+
+RIGID_132 = (CHERRY, tc.parse_tree("((()()())(()(())))"))  # |Hom_rigid| = 132
+
+
+@pytest.mark.parametrize("block_cells", [kernels._BLOCK_CELLS, 1])
+def test_rigid_homset_builds_each_skeleton_block_once(monkeypatch, block_cells):
+    # One _allowed table per block of skeletons: the expansion counts and
+    # fills from the same tables, with no separate counting pass.
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", block_cells)
+    calls = _counted(monkeypatch, "_allowed")
+    for S, T, size in [(C2, C3, 3), (*RIGID_132, 132)]:
+        skels = tc.enumerate_embeddings(S, T).rows
+        step = max(1, block_cells // (T.n * S.n))
+        calls.clear()
+        assert len(tc.enumerate_hom(tc.RIGID, S, T)) == size
+        assert len(calls) == -(-len(skels) // step) > 0
+
+
+def test_rigid_budget_is_exact_in_one_expand_call(monkeypatch):
+    calls = _counted(monkeypatch, "_expand")
+    D1 = tc.doubling_tree(C2).tree
+    D2 = tc.doubling_tree(D1).tree
+    for S, T in [(C2, tc.chain(4)), (C2, D1), RIGID_132, (D1, D2)]:
+        size = len(tc.enumerate_hom(tc.RIGID, S, T))
+        assert size > 1
+        calls.clear()
+        assert len(tc.enumerate_hom(tc.RIGID, S, T, tc.Budget(max_hom=size))) == size
+        assert len(calls) == 1
+        calls.clear()
+        with pytest.raises(BudgetExceededError,
+                           match=f"^more than max_hom={size - 1} rigid surjections$") as info:
+            tc.enumerate_hom(tc.RIGID, S, T, tc.Budget(max_hom=size - 1))
+        assert info.value.kind == "max_hom"
+        assert len(calls) == 1
+
+
 def test_all_members_validate():
     for cat in (tc.CONN, tc.PSC, tc.CONN_LINEAR, tc.CONN_ROOT):
         for c in tc.enumerate_hom(cat, C2, CHERRY):

@@ -2,6 +2,7 @@
 by module and name.  Renaming or removing one of them must fail here, not
 only in a ``--trace 1`` benchmark run."""
 
+import ast
 import importlib
 from pathlib import Path
 
@@ -47,3 +48,22 @@ def test_the_tracer_counts_the_nodes_of_both_searches(monkeypatch):
     counts = tracing.aggregate(tracer.spans)["counts"]
     assert counts["kernels.dfs_bad_coloring.nodes"] == arrow.explored > 0
     assert counts["kernels.dfs_degree.nodes"] == degree.explored > 0
+
+
+# Kernels the tracer wraps that no library code calls any more; each stays
+# only so that its traced name resolves, until the benchmark drops it.
+TRACER_ONLY = ("pair_filter", "rigid_fill")
+
+
+def test_only_the_listed_traced_kernels_lack_a_library_call_site(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1]))
+    from perfbench import tracing
+
+    called = set()
+    for path in Path(kernels.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                f = node.func
+                called.add(f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None))
+    traced = [attr for module, attr, _, _ in tracing.TRACED.values() if module == "treeconn.kernels"]
+    assert tuple(sorted(a for a in traced if a not in called)) == TRACER_ONLY
