@@ -68,7 +68,6 @@ from .morphisms import (
     is_rigid_surjection,
     is_sealed,
     is_strong,
-    restrict,
     validate_connection,
 )
 from .search import (

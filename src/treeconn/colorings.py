@@ -1,4 +1,4 @@
-"""Composition invariants, explicit colorings, and the pruning operations.
+"""Composition invariants, explicit colorings, and the functor operations.
 
 The disagreement set between a connection's embedding half and the induced
 embedding of its surjection half is stable under outer composition; it is
@@ -6,9 +6,11 @@ the value of the powerset coloring and the quantity the searches in
 ``search`` revolve around.  The pruning operations restrict morphisms one
 top vertex at a time while recording that disagreement bit by bit.
 
-Every functor operation here validates its input once and builds an output
-that is valid by construction, without checking it again; the tests
-validate the outputs over whole Hom-sets.
+Every functor operation is a rule on rows ending in ``morphisms.cut_at_top``:
+``to_strong`` is the cut, ``prune_rows`` drops the source's top and cuts at
+the new one, ``lower_top`` moves the embedding's top to the induced one and
+cuts.  Each function encodes its one row, validates it once, applies the
+rule and decodes; the tests validate the outputs over whole Hom-sets.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from .morphisms import (
     CONN,
     PSC,
     Connection,
-    TreeMap,
     compose,
+    connection_from_row,
     connection_to_row,
-    induced_embedding,
-    restrict,
+    cut_at_top,
     row_disagreements,
     validate_connection,
 )
@@ -55,16 +56,14 @@ def two_coloring(x: int, c: Connection) -> int:
 
 
 def to_strong(c: Connection) -> Connection:
-    """Restrict a total connection to the segment sealed by its embedding.
-
-    The surjection is cut at the embedding's image of the last vertex, the
-    embedding is unchanged; the result is a strong partial pair, so only
-    the input is validated (the outputs are checked in the tests).
-    """
+    """Restrict a total connection to the segment sealed by its embedding:
+    the surjection is cut at the embedding's image of the last vertex
+    (``cut_at_top``), the embedding is unchanged."""
     if c.category != CONN:
         raise InvalidMorphismError("to_strong applies to total tree connections")
     validate_connection(c)
-    return Connection(PSC, restrict(c.surj, c.emb.values[-1]), c.emb)
+    return connection_from_row(PSC, c.source, c.target,
+                               cut_at_top(connection_to_row(c), c.target.n).tolist())
 
 
 @dataclass(frozen=True)
@@ -96,41 +95,44 @@ def compose_annotated(f: AnnotatedPscHom, g: Connection) -> AnnotatedPscHom:
     return AnnotatedPscHom(compose(f.hom, g), f.bits)
 
 
+def prune_rows(S: OrderedTree, T: OrderedTree, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prune psc rows of Hom(S, T), S of two or more vertices: the rows
+    without their last column, cut at the new top, and each row's
+    disagreement bit at S's top.  ``row_disagreements`` validates the rows."""
+    bits = row_disagreements(PSC, S, T, rows)[:, -1]
+    return cut_at_top(rows[:, :-1].copy(), T.n), bits
+
+
 def prune_top(p: AnnotatedPscHom) -> AnnotatedPscHom:
     """Drop the source's largest vertex, restricting both halves through the
-    embedding's image of the new top, and append one bit recording whether
-    the embedding disagreed with the induced embedding at the dropped vertex.
-    The input is validated by ``two_coloring``.
-    """
+    embedding's image of the new top, and append the bit ``prune_rows``
+    records at the dropped vertex."""
     hom = p.hom
     S = hom.source
     if S.n < 2:
         raise InvalidMorphismError("cannot prune a single-vertex source")
-    w = S.n - 2
-    bit = two_coloring(S.n - 1, hom)
-    Sw = initial_subtree(S, w)
-    iw = hom.emb.values[w]
-    surj = TreeMap(hom.target, Sw, hom.surj.values[: iw + 1], domain_top=iw)
-    emb = TreeMap(Sw, hom.target, hom.emb.values[: w + 1])
-    return AnnotatedPscHom(Connection(PSC, surj, emb), p.bits + (bit,))
+    [row], [bit] = prune_rows(S, hom.target, connection_to_row(hom)[None])
+    return AnnotatedPscHom(connection_from_row(PSC, initial_subtree(S, S.n - 2), hom.target,
+                                               row.tolist()), p.bits + (int(bit),))
 
 
 def lower_top(q: Connection) -> Connection:
-    """Move the embedding's top down onto the induced embedding's top.
+    """Move the embedding's top down onto the induced embedding's top (the
+    least preimage of S's top) and cut there.
 
     Defined exactly when the current pruning bit is 1 (the two tops differ);
-    the surjection is restricted accordingly and the result always carries
-    pruning bit 0.  The input is validated by ``two_coloring``.
+    the result always carries pruning bit 0.  The input is validated by
+    ``row_disagreements``.
     """
     if q.category != PSC:
         raise InvalidMorphismError("lower_top applies to partial strong pairs")
-    S = q.source
-    v = S.n - 1
-    if not two_coloring(v, q):
+    S, T = q.source, q.target
+    row = connection_to_row(q)
+    [diff] = row_disagreements(PSC, S, T, row[None])
+    if not diff[-1]:
         raise InvalidMorphismError("embedding already agrees with the induced embedding at the top")
-    target_top = induced_embedding(q.surj).values[v]
-    vals = q.emb.values[:v] + (target_top,)
-    return Connection(PSC, restrict(q.surj, target_top), TreeMap(S, q.target, vals))
+    row[-1] = np.argmax(row[:T.n] == S.n - 1)
+    return connection_from_row(PSC, S, T, cut_at_top(row, T.n).tolist())
 
 
 def prune_signature(p: Connection) -> frozenset[int]:
@@ -142,14 +144,16 @@ def prune_signature(p: Connection) -> frozenset[int]:
     """
     if p.category != PSC:
         raise InvalidMorphismError("prune_signature applies to partial strong pairs")
-    S = p.source
-    q = annotate(p)
-    while q.source.n > 1:
-        q = prune_top(q)
-    members = frozenset(S.n - 1 - j for j, b in enumerate(q.bits) if b)
+    S = Sv = p.source
+    rows, members = connection_to_row(p)[None], set()
+    while Sv.n > 1:
+        rows, [bit] = prune_rows(Sv, p.target, rows)
+        if bit:
+            members.add(Sv.n - 1)
+        Sv = initial_subtree(Sv, Sv.n - 2)
     outside = members - marked_set(S)
     if outside:
         raise InvalidMorphismError(
             f"pruning bits set at unmarked vertices {sorted(outside)}"
         )
-    return members
+    return frozenset(members)

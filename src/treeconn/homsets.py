@@ -11,13 +11,14 @@ composites in Hom(S, V), all on these arrays.
 Embeddings are built level by level, within ``max_hom`` at every level, and
 every other Hom-set is generated from them: a rigid surjection is the unique
 extension of its induced embedding (its skeleton) by choices at the
-positions off the skeleton.  Connections, partial strong pairs (cut at the
-embedding's top) and rigid surjections take one pass each: every (skeleton,
-embedding) pair that can carry a connection, or every rigid skeleton, is
-expanded directly over the values its free positions allow, so ``max_hom``
-bounds the output before any row exists and no skeleton x embedding cross
-product is built (``kernels.rigid_fill`` is kept only for the benchmark
-tracer).  Filter-all-maps oracles live in the test suite.
+positions off the skeleton.  Connections, partial strong pairs and rigid
+surjections take one pass each: every (skeleton, embedding) pair that can
+carry a connection, or every rigid skeleton, is expanded directly over the
+values its free positions allow, so ``max_hom`` bounds the output before any
+row exists and no skeleton x embedding cross product is built.  Rows come
+in pair order; psc rows are cut (``morphisms.cut_at_top``) and all sorted
+here.  ``kernels.rigid_fill`` is kept only for the benchmark tracer, and
+filter-all-maps oracles live in the test suite.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .morphisms import (
     Connection,
     composite_rows,
     connection_from_row,
+    cut_at_top,
 )
 from .trees import OrderedTree
 
@@ -167,7 +169,8 @@ def _connections(S: OrderedTree, T: OrderedTree, category: str, skels: np.ndarra
     if rows is None:
         what = "partial strong pairs" if category == PSC else "connections"
         raise BudgetExceededError(f"more than max_hom={budget.max_hom} {what}", kind="max_hom")
-    return HomSet(category, S, T, rows)
+    rows = cut_at_top(rows, T.n) if category == PSC else rows
+    return HomSet(category, S, T, rows[np.lexsort(rows.T[::-1])])
 
 
 def enumerate_psc(S: OrderedTree, T: OrderedTree,

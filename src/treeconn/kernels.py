@@ -3,7 +3,7 @@
 Embeddings are expanded level by level (``embedding_search``).  Connections
 and partial strong pairs are generated pair-first: ``realizable_pairs`` finds
 the (skeleton, embedding) pairs that carry one, ``connection_rows`` expands
-each over its free positions (a psc pair's up to its embedding's top), and
+each over its free positions in pair order (a psc pair's up to its top), and
 ``doubling_pair_sweep`` checks the doubling stability condition on them.
 Rigid surjections take one ``_expand`` pass over ``_rigid_blocks``, one
 skeleton per pair; ``rigid_count`` counts them, and ``rigid_fill`` is kept
@@ -495,11 +495,11 @@ def _expand(blocks, width, max_out):
 
 def connection_rows(skels, embs, dom, max_out, partial=False):
     """Every connection over the realizable (skeleton, embedding) pairs, as
-    rows s | j of length nt + ns in lexicographic order, or None, before any
-    row is allocated, when there are more than max_out.  With ``partial``
-    (psc) s stops at j's top, in whose segment the skeleton already lies:
-    each position above it takes one placeholder value, so the counts stay
-    exact, and is written -1 before the sort, so a shorter prefix sorts first."""
+    rows s | j of length nt + ns in pair order, or None, before any row is
+    allocated, when there are more than max_out.  With ``partial`` (psc) s
+    stops at j's top, in whose segment the skeleton already lies: each
+    position above it takes one placeholder value, so the counts stay exact,
+    and the caller writes its layout there."""
     ns = skels.shape[1]
     nt = dom.shape[0]
     caps = pair_caps(embs, nt)
@@ -514,10 +514,7 @@ def connection_rows(skels, embs, dom, max_out, partial=False):
                     allowed[np.arange(nt) > embs[bq, -1:]] = np.arange(ns) == 0
                 yield allowed, embs[bq]
 
-    out = _expand(blocks(), nt + ns, max_out)
-    if out is not None and partial:
-        out[:, :nt][np.arange(nt) > out[:, -1:]] = -1
-    return None if out is None else out[np.lexsort(out.T[::-1])]
+    return _expand(blocks(), nt + ns, max_out)
 
 
 def _rigid_blocks(skels, dom):

@@ -10,9 +10,10 @@ Each rule is written once, on rows: ``row_failures`` (validity),
 ``composite_rows`` (composition) and ``row_disagreements`` (the coloring
 disagreement sets).  A morphism of Hom(S, T) is one int64 row: the
 embedding S -> T (emb, incinj), the surjection T -> S (rigid), or
-surjection | embedding (the pair categories), a psc surjection padded with
--1 past its top, the embedding's last value (the pair is strong).  The
-single-morphism API applies the rules to ``connection_to_row``'s one row.
+surjection | embedding (the pair categories), a psc surjection cut to -1
+past its top, the embedding's last value (the pair is strong), by
+``cut_at_top``.  The single-morphism API applies the rules to
+``connection_to_row``'s one row.
 """
 
 from __future__ import annotations
@@ -229,6 +230,13 @@ def _raise_first(category: str, failed: np.ndarray) -> None:
         raise InvalidMorphismError(FAILURES[category][failed[failed >= 0][0]])
 
 
+def cut_at_top(rows: np.ndarray, tn: int) -> np.ndarray:
+    """Set the surjection half of each pair row (T of ``tn`` vertices, any
+    leading shape) to -1 past the row's last value, in place: the psc layout."""
+    rows[..., :tn][np.arange(tn) > rows[..., -1:]] = -1
+    return rows
+
+
 def composite_rows(category: str, tn: int, f: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
     """Rows in Hom(S, V) of f o g for each g in ``g_rows`` (rows of
     Hom(T, V), T of ``tn`` vertices) and each f in ``f`` (rows of
@@ -239,13 +247,10 @@ def composite_rows(category: str, tn: int, f: np.ndarray, g_rows: np.ndarray) ->
     if category == RIGID:
         return f[fi, g_rows[:, None, :]]  # f_s[g_s]
     vn = g_rows.shape[1] - tn
-    h_s = f[fi, g_rows[:, None, :vn]]  # f_s[g_s]
-    h_e = g_rows[gi, vn + f[:, tn:]]  # g_e[f_e]
-    if category == PSC:
-        # Keep h_s up to the new top g_e[f_top] = h_e[-1].  The -1 padding of
-        # g_s lies past g's top, so past the new top too.
-        h_s[np.arange(vn) > h_e[..., -1:]] = -1
-    return np.concatenate((h_s, h_e), axis=2)
+    h = np.concatenate((f[fi, g_rows[:, None, :vn]], g_rows[gi, vn + f[:, tn:]]), axis=2)
+    # f_s[g_s] | g_e[f_e].  A psc h_s stops at the new top g_e[f_top]; the -1
+    # padding of g_s lies past g's top, so past the new top too.
+    return cut_at_top(h, vn) if category == PSC else h
 
 
 def row_disagreements(category: str, S: OrderedTree, V: OrderedTree,
@@ -388,13 +393,6 @@ def compose(f: Connection, g: Connection) -> Connection:
 # Construction helpers.
 # ---------------------------------------------------------------------------
 
-def restrict(m: TreeMap, v: int) -> TreeMap:
-    """Restrict a map to the initial segment 0..v of its source."""
-    if v > m.top:
-        raise IndexError(f"vertex {v} outside map domain 0..{m.top}")
-    return TreeMap(m.source, m.target, m.values[: v + 1], domain_top=v)
-
-
 def identity_connection(t: OrderedTree, category: str = CONN) -> Connection:
     row = list(range(t.n)) * (1 if category in EMB_ONLY + SURJ_ONLY else 2)
     return connection_from_row(category, t, t, row)
@@ -408,9 +406,8 @@ def complete_strong(p: Connection) -> Connection:
     if p.category != PSC:
         raise InvalidMorphismError("completion applies to partial strong pairs")
     validate_connection(p)
-    T, S = p.target, p.source
-    svals = p.surj.values + (0,) * (T.n - 1 - p.top)
-    return Connection(CONN, TreeMap(T, S, svals), TreeMap(S, T, p.emb.values))
+    return connection_from_row(CONN, p.source, p.target,
+                               np.maximum(connection_to_row(p), 0).tolist())
 
 
 # ---------------------------------------------------------------------------

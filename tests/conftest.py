@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 import treeconn as tc
 from treeconn import kernels
+from treeconn.colorings import prune_rows
 from treeconn.errors import BudgetExceededError
 from treeconn.homsets import HomSet, _emb_rows
-from treeconn.morphisms import FAILURES, PSC
+from treeconn.morphisms import (CONN, FAILURES, PSC, composite_rows, cut_at_top,
+                                row_disagreements, row_failures)
 from treeconn.trees import ROOT
 
 
@@ -360,6 +362,114 @@ def disagreements_loop(c):
     validate_connection_loop(c)
     ind = induced_embedding_loop(c.surj).values
     return frozenset(x for x in range(c.source.n) if ind[x] != c.emb.values[x])
+
+
+def restrict_loop(m, v):
+    """The map m restricted to the initial segment 0..v of its source."""
+    return tc.TreeMap(m.source, m.target, m.values[: v + 1], domain_top=v)
+
+
+def to_strong_loop(c):
+    """Loop reference for ``colorings.to_strong``: the surjection restricted
+    to the segment up to the embedding's top, as a ``TreeMap``."""
+    if c.category != tc.CONN:
+        raise tc.InvalidMorphismError("to_strong applies to total tree connections")
+    validate_connection_loop(c)
+    return tc.Connection(tc.PSC, restrict_loop(c.surj, c.emb.values[-1]), c.emb)
+
+
+def complete_strong_loop(p):
+    """Loop reference for ``morphisms.complete_strong``: every vertex above
+    the segment top sent to the root."""
+    if p.category != tc.PSC:
+        raise tc.InvalidMorphismError("completion applies to partial strong pairs")
+    validate_connection_loop(p)
+    T, S = p.target, p.source
+    svals = p.surj.values + (0,) * (T.n - 1 - p.top)
+    return tc.Connection(tc.CONN, tc.TreeMap(T, S, svals), tc.TreeMap(S, T, p.emb.values))
+
+
+def prune_top_loop(p):
+    """Loop reference for ``colorings.prune_top``: both halves restricted
+    through the embedding's image of the new top, and the bit read from
+    ``disagreements_loop``."""
+    hom = p.hom
+    S = hom.source
+    if S.n < 2:
+        raise tc.InvalidMorphismError("cannot prune a single-vertex source")
+    w = S.n - 2
+    bit = int(S.n - 1 in disagreements_loop(hom))
+    Sw = tc.initial_subtree(S, w)
+    iw = hom.emb.values[w]
+    surj = tc.TreeMap(hom.target, Sw, hom.surj.values[: iw + 1], domain_top=iw)
+    emb = tc.TreeMap(Sw, hom.target, hom.emb.values[: w + 1])
+    return tc.AnnotatedPscHom(tc.Connection(tc.PSC, surj, emb), p.bits + (bit,))
+
+
+def lower_top_loop(q):
+    """Loop reference for ``colorings.lower_top``: the embedding's top moved
+    onto the induced embedding's, the surjection restricted there."""
+    if q.category != tc.PSC:
+        raise tc.InvalidMorphismError("lower_top applies to partial strong pairs")
+    S = q.source
+    v = S.n - 1
+    if v not in disagreements_loop(q):
+        raise tc.InvalidMorphismError("embedding already agrees with the induced embedding at the top")
+    target_top = induced_embedding_loop(q.surj).values[v]
+    vals = q.emb.values[:v] + (target_top,)
+    return tc.Connection(tc.PSC, restrict_loop(q.surj, target_top), tc.TreeMap(S, q.target, vals))
+
+
+def functor_laws(sources, targets):
+    """The composition laws of the strongification and of pruning, by one
+    ``composite_rows`` pass per (S, T, V), S in ``sources`` and T, V in
+    ``targets``: (both held, strongification composites, pruning composites).
+
+    Strongification: for conn f in Hom(S, T) and g in Hom(T, V), the conn
+    composite f o g is valid and its cut is the psc composite of the cuts.
+    Pruning, for S of at least two vertices: for psc f in Hom(S, T) and psc
+    g in Hom(T, V) whose embedding is the induced one, pruning f o g gives
+    the composite of pruned f with g, and the same bit as pruning f.
+    """
+    conn, psc, outer, pruned = {}, {}, {}, {}
+    for S in sources:
+        for T in targets:
+            conn[S, T] = tc.enumerate_connections(S, T).rows
+            psc[S, T] = tc.enumerate_psc(S, T).rows
+            if len(psc[S, T]) and S.n >= 2:
+                pruned[S, T] = prune_rows(S, T, psc[S, T])
+    for T in targets:
+        for V in targets:
+            conn[T, V] = tc.enumerate_connections(T, V).rows
+            rows = tc.enumerate_psc(T, V).rows
+            if len(rows):
+                outer[T, V] = rows[~row_disagreements(PSC, T, V, rows).any(axis=1)]
+    ok, strong, prune = True, 0, 0
+    for S in sources:
+        for T in targets:
+            f = conn[S, T]
+            for V in targets:
+                g = conn[T, V]
+                if not (len(f) and len(g)):
+                    continue
+                h = composite_rows(CONN, T.n, f, g).reshape(-1, V.n + S.n)
+                ok &= bool((row_failures(CONN, S, V, h) < 0).all())
+                rhs = composite_rows(PSC, T.n, cut_at_top(f.copy(), T.n),
+                                     cut_at_top(g.copy(), V.n))
+                ok &= np.array_equal(cut_at_top(h, V.n), rhs.reshape(h.shape))
+                strong += len(f) * len(g)
+            if (S, T) not in pruned:
+                continue
+            f, (pf, pbits) = psc[S, T], pruned[S, T]
+            for V in targets:
+                g = outer.get((T, V), ())
+                if not len(g):
+                    continue
+                lhs, bits = prune_rows(S, V, composite_rows(PSC, T.n, f, g).reshape(-1, V.n + S.n))
+                rhs = composite_rows(PSC, T.n, pf, g).reshape(lhs.shape)
+                ok &= np.array_equal(lhs, rhs) and np.array_equal(bits, np.tile(pbits, len(g)))
+                prune += len(f) * len(g)
+    return ok, strong, prune
 
 
 def embedding_search_loop(meet_s, meet_t, pin_root, max_out):

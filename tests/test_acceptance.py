@@ -6,7 +6,6 @@ forced by the definitions, computed by an independent oracle in this file or
 conftest.py, or cross-checked against the naive full-enumeration oracle.
 """
 
-import functools
 import time
 
 import treeconn as tc
@@ -14,6 +13,7 @@ from conftest import (
     conn_oracle,
     definitional_order,
     emb_oracle,
+    functor_laws,
     galois_ok,
     incinj_oracle,
     naive_bad_coloring,
@@ -187,69 +187,24 @@ def test_criterion_8_functor_suite():
     t0 = time.perf_counter()
     small = tc.all_trees_up_to(3)
     mid = tc.all_trees_up_to(5)
-
-    @functools.cache
-    def conn_hom(S, T):
-        return tc.enumerate_connections(S, T)
-
-    @functools.cache
-    def psc_hom(S, T):
-        return tc.enumerate_psc(S, T)
-
-    @functools.cache
-    def strong_hom(S, T):
-        # to_strong of each conn morphism, once per Hom-set.
-        return [tc.to_strong(c) for c in conn_hom(S, T)]
-
-    @functools.cache
-    def outer_hom(T, V):
-        # The psc morphisms whose embedding is the induced one.
-        return [g for g in psc_hom(T, V) if g.emb.values == tc.induced_embedding(g.surj).values]
-
     ok = True
-    # Identities and frankness with section.
+    # Identities and frankness with section, one morphism at a time.
     for T in mid:
         ok &= tc.to_strong(tc.identity_connection(T)).key() == tc.identity_connection(T, tc.PSC).key()
     for S in small:
         for T in mid:
-            pscs = psc_hom(S, T)
-            ok &= {p.key() for p in strong_hom(S, T)} == {p.key() for p in pscs}
+            pscs = tc.enumerate_psc(S, T)
+            strong = {tc.to_strong(c).key() for c in tc.enumerate_connections(S, T)}
+            ok &= strong == {p.key() for p in pscs}
             for p in pscs:
                 ok &= tc.to_strong(tc.complete_strong(p)).key() == p.key()
                 ok &= tc.prune_signature(p) == tc.invariant_set(p)
                 if p.source.n >= 2 and tc.prune_top(tc.annotate(p)).bits[-1] == 1:
                     ok &= tc.prune_top(tc.annotate(tc.lower_top(p))).bits[-1] == 0
-    # Composition law for the strongification.
-    comp_checked = 0
-    for S in small:
-        for T in mid:
-            for V in mid:
-                for f, df in zip(conn_hom(S, T), strong_hom(S, T)):
-                    for g, dg in zip(conn_hom(T, V), strong_hom(T, V)):
-                        comp_checked += 1
-                        lhs = tc.to_strong(tc.compose(f, g))
-                        rhs = tc.compose(df, dg)
-                        ok &= lhs.key() == rhs.key()
-    # Pruning is functorial against outer morphisms whose embedding is the
-    # induced one, and the recorded bit rides through composition.
-    prune_checked = 0
-    for S in small:
-        if S.n < 2:
-            continue
-        for T in mid:
-            fs = psc_hom(S, T)
-            if not fs:
-                continue
-            for V in mid:
-                outer = outer_hom(T, V)
-                for f in fs:
-                    pf = tc.prune_top(tc.annotate(f))
-                    for g in outer:
-                        prune_checked += 1
-                        lhs = tc.prune_top(tc.annotate(tc.compose(f, g)))
-                        rhs = tc.compose_annotated(pf, g)
-                        ok &= lhs.hom.key() == rhs.hom.key()
-                        ok &= lhs.bits == rhs.bits
+    # The composition laws of the strongification and of pruning (the
+    # recorded bit rides through composition), on whole Hom-sets.
+    laws, comp_checked, prune_checked = functor_laws(small, mid)
+    ok &= laws
     elapsed = time.perf_counter() - t0
     report(
         8,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import treeconn as tc
+from conftest import functor_laws
 from treeconn import morphisms
 from treeconn.errors import InvalidMorphismError
 
@@ -206,6 +207,11 @@ def test_prune_signature_checks_each_step_once(row_checks):
     bad = tc.Connection(tc.PSC, tmap(C3, C2, (0, 0, 1)), tmap(C2, C3, (0, 1)))
     with pytest.raises(InvalidMorphismError):
         tc.prune_signature(bad)
+
+
+def test_functor_laws_on_trees_up_to_6():
+    # Criterion 8's row passes with T and V of up to 6 vertices.
+    assert functor_laws(tc.all_trees_up_to(3), tc.all_trees_up_to(6)) == (True, 57812, 19589)
 
 
 def test_annotated_composition_keeps_bits():

@@ -1,4 +1,6 @@
+import ast
 import itertools
+import pathlib
 import re
 
 import pytest
@@ -8,6 +10,7 @@ import treeconn as tc
 from treeconn.errors import InvalidMorphismError
 from conftest import (
     canonical_trees,
+    complete_strong_loop,
     compose_loop,
     cond_a_oracle,
     condition_a_loop,
@@ -15,7 +18,10 @@ from conftest import (
     galois_ok,
     induced_embedding_loop,
     is_embedding_loop,
+    lower_top_loop,
+    prune_top_loop,
     rigid_oracle,
+    to_strong_loop,
     validate_connection_loop,
 )
 
@@ -102,15 +108,6 @@ def test_sealed_and_strong():
     assert tc.is_strong(tc.identity_connection(dbl.tree, tc.PSC))
     weak = tc.Connection(tc.CONN, dbl.surj, dbl.base_embedding())
     assert not tc.is_strong(weak)  # embedding tops out at vertex 1 of 4
-
-
-def test_restrict():
-    s = tmap(C3, C2, (0, 1, 1))
-    r = tc.restrict(s, 1)
-    assert r.values == (0, 1) and r.domain_top == 1
-    ident = tc.restrict(tmap(C3, C3, (0, 1, 2)), 1)
-    assert ident.values == (0, 1)
-    assert tc.restrict(s, 2) == tmap(C3, C2, (0, 1, 1), top=2)
 
 
 def test_compose_connection_example():
@@ -219,7 +216,8 @@ def test_complete_strong_rejects_non_strong():
     with pytest.raises(InvalidMorphismError):
         dbl = tc.doubling_tree(C2)
         tc.complete_strong(
-            tc.Connection(tc.PSC, tc.restrict(dbl.surj, 2), tmap(C2, dbl.tree, (0, 1)))
+            tc.Connection(tc.PSC, tmap(dbl.tree, C2, dbl.surj.values[:3], top=2),
+                          tmap(C2, dbl.tree, (0, 1)))
         )
 
 
@@ -377,13 +375,16 @@ def _morphism(data, category, S, T, raw):
 
 
 def _result(fn, *args):
-    """fn(*args) as comparable data: a morphism's key and top, None, or the
-    error message."""
+    """fn(*args) as comparable data: a morphism's category, key and top
+    (and the bits of an annotated one), None, or the error message."""
     try:
         out = fn(*args)
     except InvalidMorphismError as exc:
         return str(exc)
-    return None if out is None else (out.key(), out.top)
+    if out is None:
+        return None
+    hom = getattr(out, "hom", out)
+    return hom.category, hom.key(), hom.top, getattr(out, "bits", None)
 
 
 @given(st.sampled_from(tc.CATEGORIES), canonical_trees(max_n=3), canonical_trees(max_n=5),
@@ -402,3 +403,45 @@ def test_compose_matches_loop_reference(category, S, T, V, raw, data):
     f = _morphism(data, category, S, T, raw)
     g = _morphism(data, category, T, V, raw)
     assert _result(tc.compose, f, g) == _result(compose_loop, f, g)
+
+
+@given(st.sampled_from((tc.CONN, tc.PSC)), canonical_trees(max_n=6), st.booleans(), st.data())
+def test_functor_operations_match_loop_references(category, T, raw, data):
+    # Each operation on rows against its TreeMap loop reference, errors
+    # included; a category an operation refuses is refused by both.
+    S = data.draw(canonical_trees(max_n=T.n))
+    c = _morphism(data, category, S, T, raw)
+    prune = lambda prune_top: lambda c: prune_top(tc.annotate(c))
+    for fn, ref in ((tc.to_strong, to_strong_loop), (tc.complete_strong, complete_strong_loop),
+                    (prune(tc.prune_top), prune(prune_top_loop)), (tc.lower_top, lower_top_loop)):
+        assert _result(fn, c) == _result(ref, c), fn
+
+
+def _minus_one_mask_writes(tree):
+    """The ``x[<comparison mask>] = -1`` statements of a module."""
+    def minus_one(value):
+        return (isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub)
+                and isinstance(value.operand, ast.Constant) and value.operand.value == 1)
+
+    def masked(target):
+        return isinstance(target, ast.Subscript) and any(
+            isinstance(n, ast.Compare) for n in ast.walk(target.slice))
+
+    return {node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            and minus_one(node.value) and any(map(masked, node.targets))}
+
+
+def test_only_cut_at_top_writes_the_psc_layout():
+    # The psc layout (-1 past the top) is written through a comparison mask
+    # in one place; every other psc row gets it from cut_at_top.
+    src = pathlib.Path(tc.__file__).parent
+    outside, inside = [], 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writes = _minus_one_mask_writes(tree)
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "cut_at_top":
+                mine = _minus_one_mask_writes(fn)
+                inside, writes = inside + len(mine), writes - mine
+        outside += [f"{path.name}:{node.lineno}" for node in writes]
+    assert (inside, outside) == (1, [])
