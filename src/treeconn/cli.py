@@ -26,6 +26,7 @@ from .morphisms import (
     RIGID,
     connection_from_record,
     connection_to_record,
+    row_records,
 )
 from .search import arrow_check, degree_at_witness, verify_lower_bound, verify_no_ramsey
 from .trees import (
@@ -164,7 +165,7 @@ def _cmd_enum(args) -> int:
     if args.count:
         _emit(str(len(hom)), args.out)
         return 0
-    lines = [_dumps(connection_to_record(c)) for c in hom]
+    lines = [_dumps(rec) for rec in row_records(hom.category, hom.source, hom.target, hom.rows)]
     _emit("\n".join(lines) if lines else "", args.out)
     return 0
 

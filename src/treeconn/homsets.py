@@ -1,8 +1,9 @@
 """Exhaustive, deterministic enumeration of Hom-sets for every category tag.
 
 A ``HomSet`` keeps Hom(S, T) as a read-only int64 array, one row per
-morphism in the layout of ``morphisms``, and builds ``Connection`` objects
-(``morphisms.connection_from_row``) only on indexing or iteration.  Rows
+morphism in the layout of ``morphisms``.  Indexing and iteration decode a
+row into a ``Connection`` (``morphisms.connection_from_row``); records and
+messages are written from the rows (``morphisms.row_records``).  Rows
 are in lexicographic order, the canonical order, so a shorter psc prefix
 sorts first; re-running yields identical arrays.  ``composite_indices``
 composes whole Hom-sets by ``morphisms.composite_rows`` and locates the

@@ -7,13 +7,13 @@ injection-only and surjection-only categories reuse the same container with
 the unused half set to ``None``.
 
 Each rule is written once, on rows: ``row_failures`` (validity),
-``composite_rows`` (composition) and ``row_disagreements`` (the coloring
-disagreement sets).  A morphism of Hom(S, T) is one int64 row: the
-embedding S -> T (emb, incinj), the surjection T -> S (rigid), or
-surjection | embedding (the pair categories), a psc surjection cut to -1
-past its top, the embedding's last value (the pair is strong), by
-``cut_at_top``.  The single-morphism API applies the rules to
-``connection_to_row``'s one row.
+``composite_rows`` (composition), ``row_disagreements`` (the coloring
+disagreement sets) and ``row_records`` (the structured records).  A
+morphism of Hom(S, T) is one int64 row: the embedding S -> T (emb,
+incinj), the surjection T -> S (rigid), or surjection | embedding (the
+pair categories), a psc surjection cut to -1 past its top, the
+embedding's last value (the pair is strong), by ``cut_at_top``.  The
+single-morphism API applies the rules to ``connection_to_row``'s one row.
 """
 
 from __future__ import annotations
@@ -285,7 +285,8 @@ def connection_to_row(c: Connection) -> np.ndarray:
             raise InvalidMorphismError(FAILURES[PSC][0])
         if e[-1] != c.top:
             raise InvalidMorphismError(FAILURES[PSC][1])
-        s += (-1,) * (c.target.n - len(s))
+        return cut_at_top(np.array(s + (0,) * (c.target.n - len(s)) + e, dtype=np.int64),
+                          c.target.n)
     return np.array(s + e, dtype=np.int64)
 
 
@@ -334,6 +335,7 @@ def is_rigid_surjection(s: TreeMap) -> bool:
 def condition_a(s: TreeMap, i: TreeMap) -> bool:
     """The partial-inverse compatibility: s(i(x)) = x and everything strictly
     below i(x) maps to x or lower."""
+    # -1 marks where an arbitrary partial s is undefined: the pair need not be strong.
     surj = np.full((1, max(i.target.n, s.effective_n)), -1)
     surj[0, : s.effective_n] = s.values
     return bool(_condition_a(surj, np.array([i.values]))[0])
@@ -414,15 +416,29 @@ def complete_strong(p: Connection) -> Connection:
 # Structured records.
 # ---------------------------------------------------------------------------
 
+def row_records(category: str, S: OrderedTree, T: OrderedTree, rows: np.ndarray) -> list[dict]:
+    """The structured record of each row of Hom(S, T), all sharing one
+    record of each tree: ``surj`` is the row's first T.n values (a psc
+    surjection's up to its top, ``domain_top``, the row's last value) and
+    ``emb`` its last S.n."""
+    tn, rows = T.n, rows.tolist()
+    if category in EMB_ONLY:
+        halves = ((None, row, None) for row in rows)
+    elif category == RIGID:
+        halves = ((row, None, None) for row in rows)
+    elif category == PSC:
+        halves = ((row[: row[-1] + 1], row[tn:], row[-1]) for row in rows)
+    else:
+        halves = ((row[:tn], row[tn:], None) for row in rows)
+    source, target = tree_to_record(S), tree_to_record(T)
+    return [{"category": category, "source": source, "target": target,
+             "surj": surj, "emb": emb, "domain_top": top} for surj, emb, top in halves]
+
+
 def connection_to_record(c: Connection) -> dict:
-    return {
-        "category": c.category,
-        "source": tree_to_record(c.source),
-        "target": tree_to_record(c.target),
-        "surj": list(c.surj.values) if c.surj is not None else None,
-        "emb": list(c.emb.values) if c.emb is not None else None,
-        "domain_top": c.surj.domain_top if c.surj is not None else None,
-    }
+    """``row_records`` of c's row; a psc pair that is not strong has no row
+    and raises its FAILURES[PSC], as in ``connection_to_row``."""
+    return row_records(c.category, c.source, c.target, connection_to_row(c)[None])[0]
 
 
 def _record_ints(rec: dict, name: str):

@@ -396,8 +396,10 @@ def _composite_disagreements(hom_st: HomSet, hom_tv: HomSet) -> Iterator[tuple[i
 
 
 def _outer(hom_tv: HomSet, g: int) -> str:
-    c = hom_tv[g]
-    return f"outer surj {c.surj.values} emb {c.emb.values}"
+    """Row g of the conn Hom-set hom_tv, as surjection and embedding tuples."""
+    row = hom_tv.rows[g].tolist()
+    n = hom_tv.target.n
+    return f"outer surj {tuple(row[:n])} emb {tuple(row[n:])}"
 
 
 def _verify_lower_bound_direct(dbl: DoublingResult, V: OrderedTree, rows: np.ndarray,

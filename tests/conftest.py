@@ -364,6 +364,19 @@ def disagreements_loop(c):
     return frozenset(x for x in range(c.source.n) if ind[x] != c.emb.values[x])
 
 
+def connection_to_record_loop(c):
+    """Loop reference for ``morphisms.row_records``: the record of c, read
+    off its ``TreeMap`` halves."""
+    return {
+        "category": c.category,
+        "source": tc.tree_to_record(c.source),
+        "target": tc.tree_to_record(c.target),
+        "surj": list(c.surj.values) if c.surj is not None else None,
+        "emb": list(c.emb.values) if c.emb is not None else None,
+        "domain_top": c.surj.domain_top if c.surj is not None else None,
+    }
+
+
 def restrict_loop(m, v):
     """The map m restricted to the initial segment 0..v of its source."""
     return tc.TreeMap(m.source, m.target, m.values[: v + 1], domain_top=v)

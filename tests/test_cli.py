@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import treeconn as tc
-from treeconn import cli
+from treeconn import cli, homsets, morphisms
 from treeconn.cli import export_dot, main
 
 
@@ -387,6 +387,20 @@ def test_pinned_output(tmp_path, monkeypatch, capsys):
         code, out, _ = run_cli(capsys, *shlex.split(line))
         got.append((line, code, hashlib.sha256(out.encode()).hexdigest()[:16]))
     assert got == PINNED_OUTPUT
+
+
+def test_enum_writes_records_from_rows(monkeypatch, capsys):
+    # No Hom-set row is decoded into a Connection on its way to stdout.
+    def refuse(*args):
+        raise AssertionError("enum decoded a Hom-set row")
+
+    for module in (morphisms, homsets):  # homsets imports it by name
+        monkeypatch.setattr(module, "connection_from_row", refuse)
+    for kind in (*cli.SEARCH_CATEGORIES, tc.EMB):
+        trees = ("((()()))", "chain2") if kind == tc.RIGID else ("chain2", "((()()))")
+        count = run_cli(capsys, "enum", kind, *trees, "--count")[1]
+        code, out, err = run_cli(capsys, "enum", kind, *trees)
+        assert (code, err) == (0, "") and len(out.splitlines()) == int(count) > 0, kind
 
 
 def _readme_commands():

@@ -8,10 +8,12 @@ from hypothesis import assume, given, strategies as st
 
 import treeconn as tc
 from treeconn.errors import InvalidMorphismError
+from treeconn.morphisms import FAILURES, row_records
 from conftest import (
     canonical_trees,
     complete_strong_loop,
     compose_loop,
+    connection_to_record_loop,
     cond_a_oracle,
     condition_a_loop,
     emb_oracle,
@@ -321,12 +323,23 @@ def test_linear_categories():
     assert {c.key() for c in rooted} <= {c.key() for c in lin}
 
 
-def test_connection_record_round_trip():
+def test_connection_record_round_trip(trees_up_to_5):
     for cat in (tc.CONN, tc.PSC, tc.INC_INJ, tc.RIGID):
         for c in tc.enumerate_hom(cat, C2, C3):
             rec = tc.connection_to_record(c)
             back = tc.connection_from_record(rec)
             assert back == c
+    # Every row's record against the TreeMap loop reference, and back to
+    # the decoded row (rigid in its Hom(onto, frm) order).
+    for cat, S, T in itertools.product(tc.CATEGORIES, trees_up_to_5, trees_up_to_5):
+        hom = tc.enumerate_hom(cat, S, T)
+        for i, rec in enumerate(row_records(cat, S, T, hom.rows)):
+            assert rec == connection_to_record_loop(hom[i])
+            assert tc.connection_from_record(rec) == hom[i]
+    # A psc pair that is not strong has no row, so no record.
+    weak = tc.Connection(tc.PSC, tmap(C3, C2, (0, 1, 1)), tmap(C2, C3, (0, 1)))
+    with pytest.raises(InvalidMorphismError, match=re.escape(FAILURES[tc.PSC][1])):
+        tc.connection_to_record(weak)
 
 
 def test_rigid_enumeration_matches_oracle_spot():
@@ -418,7 +431,8 @@ def test_functor_operations_match_loop_references(category, T, raw, data):
 
 
 def _minus_one_mask_writes(tree):
-    """The ``x[<comparison mask>] = -1`` statements of a module."""
+    """The ``x[<comparison mask>] = -1`` statements and the ``(-1,) * n``
+    or ``[-1] * n`` paddings of a module."""
     def minus_one(value):
         return (isinstance(value, ast.UnaryOp) and isinstance(value.op, ast.USub)
                 and isinstance(value.operand, ast.Constant) and value.operand.value == 1)
@@ -427,13 +441,19 @@ def _minus_one_mask_writes(tree):
         return isinstance(target, ast.Subscript) and any(
             isinstance(n, ast.Compare) for n in ast.walk(target.slice))
 
-    return {node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+    def padding(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult) and any(
+            isinstance(side, (ast.Tuple, ast.List)) and any(map(minus_one, side.elts))
+            for side in (node.left, node.right)))
+
+    return {node for node in ast.walk(tree) if padding(node) or isinstance(node, ast.Assign)
             and minus_one(node.value) and any(map(masked, node.targets))}
 
 
 def test_only_cut_at_top_writes_the_psc_layout():
     # The psc layout (-1 past the top) is written through a comparison mask
-    # in one place; every other psc row gets it from cut_at_top.
+    # in one place; every other psc row gets it from cut_at_top, and no
+    # surjection is padded with -1 by hand.
     src = pathlib.Path(tc.__file__).parent
     outside, inside = [], 0
     for path in sorted(src.glob("*.py")):
