@@ -37,7 +37,7 @@ _MAX_MASK_COLORS = 63  # colors that fit the degree search's int64 bitmasks
 class CopyFamily:
     """Row g of the read-only ``rows``: the sorted indices in Hom(S, V) of
     f o g over Hom(S, T), len(hom_st) distinct ones (g's embedding half is
-    injective and its surjection half onto)."""
+    injective and its surjection half onto); two g may give the same copy."""
 
     category: str
     hom_st: HomSet
@@ -110,8 +110,12 @@ def copy_family(S: OrderedTree, T: OrderedTree, V: OrderedTree, category: str,
     if len(hom_tv) == 0:
         raise DegenerateInputError("Hom(T, V) is empty; no copies exist")
     hom_sv = enumerate_hom(category, S, V, budget)
-    rows = np.concatenate([np.sort(block, axis=1)
-                           for block in composite_indices(hom_st, hom_tv, hom_sv)])
+    rows = np.empty((len(hom_tv), len(hom_st)), dtype=np.int64)
+    lo = 0
+    for block in composite_indices(hom_st, hom_tv, hom_sv):
+        block.sort(axis=1)
+        rows[lo: lo + len(block)] = block
+        lo += len(block)
     # compose() validates every composite; check each distinct one once.
     hit = np.bincount(rows.ravel(), minlength=len(hom_sv)) > 0
     _raise_first(category, row_failures(category, S, V, hom_sv.rows[hit]))
@@ -190,19 +194,14 @@ def arrow_check(S: OrderedTree, T: OrderedTree, V: OrderedTree, r: int,
 
 
 def _search_arrays(fam: CopyFamily, mode: str):
-    """What both searches share: the distinct copies as an (m, width) array;
-    item -> copies in compressed form and the item order; col, nxt, maxu."""
-    n = fam.n_items
-    # The distinct copies in lexicographic order: a stable sort, then each
-    # row that differs from the one before it.
-    ranked = fam.rows[np.lexsort(fam.rows.T[::-1])]
-    distinct = np.ones(len(ranked), dtype=bool)
-    distinct[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    copies = ranked[distinct]
-    istart = np.concatenate(([0], np.cumsum(np.bincount(copies.ravel(), minlength=n))))
-    icopies = np.argsort(copies.ravel(), kind="stable") // copies.shape[1]
+    """What both searches share, read off ``fam.rows`` with its repeated
+    copies, which forbid no new color and change no least count: item ->
+    copies in compressed form and the item order; col, nxt, maxu."""
+    n, citems = fam.n_items, fam.rows.ravel()
+    istart = np.concatenate(([0], np.cumsum(np.bincount(citems, minlength=n))))
+    icopies = np.argsort(citems, kind="stable")
+    icopies //= fam.rows.shape[1]
     return (
-        copies,
         (istart, icopies, _order(mode, istart, n)),
         (np.full(n, -1, dtype=np.int64), np.zeros(n, dtype=np.int64),
          np.full(n + 1, -1, dtype=np.int64)),
@@ -220,8 +219,8 @@ def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0:
     # under every coloring, so there is nothing to search.
     if fam.rows.shape[1] == 1:
         return kernels.EXHAUSTED, None, 0
-    copies, csr, (col, nxt, maxu) = _search_arrays(fam, mode)
-    n, (m, width), citems = fam.n_items, copies.shape, copies.ravel()
+    csr, (col, nxt, maxu) = _search_arrays(fam, mode)
+    n, (m, width), citems = fam.n_items, fam.rows.shape, fam.rows.ravel()
     # Colors past the n-th are never tried, so min(r, n) columns suffice.
     r_eff = min(r, n)
     ccnt, ccol, cmix = (np.zeros(m, dtype=np.int64) for _ in range(3))
@@ -296,8 +295,8 @@ def _search_degree(fam: CopyFamily, r: int, budget: Budget, mode: str, t0: float
             f"degree search handles at most {_MAX_MASK_COLORS} colors; "
             f"{r_eff} are in play ({n} items, r={r})"
         )
-    copies, csr, (col, nxt, maxu) = _search_arrays(fam, mode)
-    m, width = copies.shape
+    csr, (col, nxt, maxu) = _search_arrays(fam, mode)
+    m, width = fam.rows.shape
     cap = min(r_eff, width)
     # Along one path a copy gains each of at most cap colors once.
     undo = _trail(n, m * cap)

@@ -180,7 +180,8 @@ def test_criterion_7_degree_at_witness():
         0 if tc.invariant_set(h) == frozenset() else 1 for h in fam.hom_sv
     ]
     ok &= all(len({coloring[i] for i in cp}) == 2 for cp in fam.copies)
-    report(7, ok, f"degree {k} == 2^|marked| with explicit coloring as lower bound")
+    report(7, ok, f"degree {k} == 2^|marked| with explicit coloring as lower bound "
+                  "(r = 2: lower side only, every degree at r = 2 is at most 2)")
 
 
 def test_criterion_8_functor_suite():

@@ -249,8 +249,8 @@ def _undo_rows(istart):
 
 
 def _bad_coloring_reference(fam, r, mode):
-    copies, csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
-    ncopies, width = copies.shape
+    csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
+    ncopies, width = fam.rows.shape
     per_copy = [np.zeros(ncopies, dtype=np.int64) for _ in range(3)]  # ccnt, ccol, cmix
     state = np.zeros(2, dtype=np.int64)
     status = dfs_bad_coloring_loop(width, *csr, r, col, nxt, maxu, *per_copy,
@@ -260,8 +260,8 @@ def _bad_coloring_reference(fam, r, mode):
 
 
 def _degree_reference(fam, r, mode):
-    copies, csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
-    ncopies, width = copies.shape
+    csr, (col, nxt, maxu) = search._search_arrays(fam, mode)
+    ncopies, width = fam.rows.shape
     r_eff = min(r, fam.n_items)
     ccnt, cmask = np.zeros(ncopies, dtype=np.int64), np.zeros(ncopies, dtype=np.int64)
     best_col = np.full(fam.n_items, -1, dtype=np.int64)
@@ -466,8 +466,8 @@ def test_search_trails_stay_within_their_bounds(monkeypatch):
 def test_arrow_search_memory_follows_the_copies():
     # conn-root chain2 -> doubling -> doubling^2: 4,203 copies of 12 over 448
     # items.  Undo rows of n_items x (most copies through an item) made a
-    # 6.4 MB peak; the trails hold one entry per copy, and what is left is
-    # mostly the copies' dedup.
+    # 6.4 MB peak; the trails hold one entry per copy, and the copies are
+    # read as built.
     fam = tc.copy_family(C2, D1, D2, tc.CONN_ROOT)
     tracemalloc.start()
     try:
@@ -540,8 +540,8 @@ def test_connection_rows_do_not_depend_on_block_size(monkeypatch):
 
 def test_resumable_search_pauses_and_resumes():
     fam = tc.copy_family(C2, C3, tc.chain(6), tc.INC_INJ)
-    copies, csr, (col, nxt, maxu) = search._search_arrays(fam, "canonical")
-    n, (ncopies, width) = fam.n_items, copies.shape
+    csr, (col, nxt, maxu) = search._search_arrays(fam, "canonical")
+    n, (ncopies, width) = fam.n_items, fam.rows.shape
     ccnt, ccol, cmix = (np.zeros(ncopies, dtype=np.int64) for _ in range(3))
     forbid = np.zeros(n * 2, dtype=np.int64)
     nforb = np.zeros(n, dtype=np.int64)
@@ -550,7 +550,7 @@ def test_resumable_search_pauses_and_resumes():
     pauses = 0
     while True:
         status = kernels.dfs_bad_coloring(
-            copies.ravel(), width, *csr, 2, col, nxt, maxu, ccnt, ccol, cmix, *mixed,
+            fam.rows.ravel(), width, *csr, 2, col, nxt, maxu, ccnt, ccol, cmix, *mixed,
             int(state[1]) + 50, state, forbid, nforb, *forbids,
         )
         if status != kernels.PAUSED:

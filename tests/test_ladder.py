@@ -1,6 +1,6 @@
 """The ladder of hard instances in ``ladder.json``: every stored coloring is
 re-checked on its own, and every entry is run under a fixed node budget,
-which must give the stored verdict or ``unknown: max_nodes``."""
+which must give the stored verdict or degree, or ``unknown: max_nodes``."""
 
 import json
 from pathlib import Path
@@ -10,7 +10,8 @@ import numpy as np
 import treeconn as tc
 from treeconn.cli import load_tree
 
-LADDER = json.loads((Path(__file__).parent / "ladder.json").read_text())["entries"]
+_FILE = json.loads((Path(__file__).parent / "ladder.json").read_text())
+LADDER, DEGREES = _FILE["entries"], _FILE["degrees"]
 
 
 def _instance(entry):
@@ -38,3 +39,29 @@ def test_ladder_under_a_node_budget():
             "unknown", "max_nodes"), (entry["V"], cert.verdict)
         settled += cert.verdict == entry["expect"]
     print(f"settled {settled} of {len(LADDER)}")
+
+
+def test_ladder_degree_witnesses():
+    # Under a stored witness every copy sees at least the stored degree (or
+    # lower bound) of colors, counted directly on the copy rows.
+    for entry in DEGREES:
+        fam = tc.copy_family(*_instance(entry))
+        witness = np.array(entry["witness"])
+        assert witness.shape == (fam.n_items,) and set(witness) <= set(range(entry["r"]))
+        seen = np.sort(witness[fam.rows], axis=1)
+        fewest = 1 + (seen[:, 1:] != seen[:, :-1]).sum(axis=1).min()
+        assert fewest >= entry.get("degree", entry.get("at_least")), entry["V"]
+
+
+def test_ladder_degrees_under_a_node_budget():
+    budget = tc.Budget(max_nodes=5000)
+    settled = 0
+    for entry in DEGREES:
+        S, T, V, category = _instance(entry)
+        k, cert = tc.degree_at_witness(S, T, V, entry["r"], category, budget, entry["mode"])
+        if k is None:
+            assert (cert.verdict, cert.limit) == ("unknown", "max_nodes"), entry["V"]
+            continue
+        assert k == entry["degree"] if "degree" in entry else k >= entry["at_least"], entry["V"]
+        settled += 1
+    print(f"settled {settled} of {len(DEGREES)} degrees")

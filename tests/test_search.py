@@ -12,7 +12,7 @@ import treeconn as tc
 from treeconn import kernels, search
 from treeconn.errors import DegenerateInputError, InvalidMorphismError
 from treeconn import homsets
-from treeconn.homsets import HomSet, _emb_rows, _row_keys
+from treeconn.homsets import HomSet, _emb_rows
 from treeconn.morphisms import FAILURES
 from conftest import (copy_family_loop, csr_loop, naive_bad_coloring, naive_degree, small_trees,
                       verify_lower_bound_direct_loop, verify_no_ramsey_loop)
@@ -92,13 +92,12 @@ def test_copy_family_validates_each_distinct_composite_once(monkeypatch):
         tc.copy_family(C2, D1, D2, tc.PSC)
 
 
-def _assert_search_arrays_match_loop(fam, want):
-    """_search_arrays keeps the distinct copies ``want`` in order, and its
-    item -> copies arrays are csr_loop's over them."""
+def _assert_search_arrays_match_loop(fam):
+    """_search_arrays' item -> copies arrays are csr_loop's over the rows
+    as built, repeated copies kept."""
     for mode in ("canonical", "fast"):
-        copies, (istart, icopies, _), _ = search._search_arrays(fam, mode)
-        assert copies.tolist() == [list(cp) for cp in want]
-        for a, b in zip((istart, icopies), csr_loop(want, fam.n_items), strict=True):
+        (istart, icopies, _), _ = search._search_arrays(fam, mode)
+        for a, b in zip((istart, icopies), csr_loop(fam.rows.tolist(), fam.n_items), strict=True):
             assert a.dtype == np.int64
             assert a.tolist() == b
 
@@ -109,41 +108,58 @@ def test_csr_matches_loop_reference():
     cases = [(fam.rows, len(fam.hom_sv)), ([(1, 3), (0, 3), (3, 4), (0, 3)], 5),
              ([(2,), (0,)], 3), (np.empty((0, 2), dtype=np.int64), 0)]
     for rows, n in cases:
-        rows = np.asarray(rows, dtype=np.int64)
-        _assert_search_arrays_match_loop(SimpleNamespace(rows=rows, n_items=n),
-                                         sorted(set(map(tuple, rows.tolist()))))
+        _assert_search_arrays_match_loop(
+            SimpleNamespace(rows=np.asarray(rows, dtype=np.int64), n_items=n))
 
 
-def _assert_distinct_copies_match_unique(fam):
-    # Reference: np.unique over the row keys, first occurrences in key order.
-    _, first = np.unique(_row_keys(fam.rows), return_index=True)
-    _assert_search_arrays_match_loop(fam, fam.rows[first].tolist())
+def _search_results(fam, r, mode):
+    """Both searches on fam: (status, coloring, nodes) of the arrow search
+    and (status, degree, witness, nodes) of the degree search."""
+    return (search._search_bad_coloring(fam, r, tc.DEFAULT_BUDGET, mode, time.monotonic()),
+            search._search_degree(fam, r, tc.DEFAULT_BUDGET, mode, time.monotonic()))
 
 
-@pytest.mark.parametrize("S, T, V, category, copies", [
-    (C1, C2, tc.chain(4), tc.EMB, 3),
-    (C1, tc.parse_tree("(()())"), tc.parse_tree("((()())())"), tc.CONN, 10),
-])
-def test_search_arrays_keep_one_of_each_repeated_copy(S, T, V, category, copies):
-    fam = tc.copy_family(S, T, V, category)
-    assert (len(fam.rows), len(np.unique(fam.rows, axis=0))) == (copies, 1)
-    _assert_distinct_copies_match_unique(fam)
+def _with_rows(fam, rows):
+    return SimpleNamespace(n_items=fam.n_items, rows=rows)
+
+
+@pytest.mark.parametrize("S, T, V, category", [
+    ("(())", "(()())", "((())())", tc.PSC),
+    ("()", "(((())))", "((()())())", tc.CONN_LINEAR),
+], ids=[tc.PSC, tc.CONN_LINEAR])
+def test_repeated_copies_change_no_answer(S, T, V, category):
+    # The searches read every copy as built; on families where two g give
+    # the same copy, the answers equal those on the distinct copies.
+    fam = tc.copy_family(*map(tc.parse_tree, (S, T, V)), category)
+    distinct = _with_rows(fam, np.unique(fam.rows, axis=0))
+    assert fam.rows.shape[1] >= 2 and len(distinct.rows) < len(fam.rows)
+    for r in (2, 3):
+        assert _search_results(fam, r, "canonical") == _search_results(distinct, r, "canonical")
+        # Fast mode orders items by how many copies hold them, repeats
+        # counted, so only its verdicts and degrees must agree.
+        (status, coloring, _), (dstatus, k, witness, _) = _search_results(fam, r, "fast")
+        (want, _, _), (_, want_k, _, _) = _search_results(distinct, r, "fast")
+        assert (status, dstatus, k) == (want, kernels.EXHAUSTED, want_k)
+        if status == kernels.FOUND:
+            search._verify_bad_coloring(fam, coloring, r)
+        search._verify_degree_witness(fam, witness, r, k)
 
 
 def test_search_arrays_memory_on_a_dense_family():
     # conn-root chain2 -> doubling -> doubling^2 with two more leaves: 117,859
-    # copies of 12 items.  np.unique over bytes keys of the copies peaked at
-    # 45 MB; what is left is mostly the argsort behind the item -> copies arrays.
+    # copies of 12 items, 11 MB of rows.  The family and the search arrays
+    # are built in one window: the rows are held once, as built, and the
+    # item -> copies arrays are the argsort of them.
     V = tc.graft(D2, [0, 1], [tc.parse_forest("()")] * 2).tree
-    fam = tc.copy_family(C2, D1, V, tc.CONN_ROOT)
-    assert fam.rows.shape == (117_859, 12)
     tracemalloc.start()
     try:
+        fam = tc.copy_family(C2, D1, V, tc.CONN_ROOT)
         search._search_arrays(fam, "canonical")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 42 << 20
+    assert fam.rows.shape == (117_859, 12)
+    assert peak < 40 << 20
 
 
 def test_copy_family_sizes():
@@ -213,10 +229,16 @@ def copy_families(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(copy_families())
-def test_searches_match_naive_oracles_on_random_families(family):
+@given(copy_families(), st.data())
+def test_searches_match_naive_oracles_on_random_families(family, data):
     fam, r = family
-    _assert_distinct_copies_match_unique(fam)
+    _assert_search_arrays_match_loop(fam)
+    # Canonical answers do not depend on the order of the copies or on a
+    # repeated one.
+    order = data.draw(st.permutations(range(len(fam.rows))))
+    again = data.draw(st.integers(0, len(fam.rows) - 1))
+    shuffled = _with_rows(fam, fam.rows[order + [again]])
+    assert _search_results(shuffled, r, "canonical") == _search_results(fam, r, "canonical")
     bad = naive_bad_coloring(fam.copies, fam.n_items, r)
     degree = naive_degree(fam.copies, fam.n_items, r)
     for mode in ("canonical", "fast"):
