@@ -14,8 +14,8 @@ are compiled with numba when it imports and run interpreted otherwise, on
 memoryviews of their array arguments, whose elements read as Python ints;
 ``BACKEND`` names the kind that runs and ``py_func`` gives the plain
 kernel.  The searches run over m copies of one width, |Hom(S, T)|, and
-undo each step from flat per-depth trails: at most m entries each for the
-arrow search's mixed copies and forbids, m * min(r, width) for the degree.
+undo each step from flat per-depth trails: at most m entries for the arrow
+search's forbids, m * min(r, width) for the degree.
 ``perfbench/run.py`` measures the kind that runs, end to end and per
 kernel, and names it in its stamp.
 """
@@ -103,8 +103,8 @@ def pair_filter(surjs, embs, caps):
 
 @_jit
 def dfs_bad_coloring(citems, width, istart, icopies, order, r,
-                     col, nxt, maxu, ccnt, ccol, cmix, utrail, ustart,
-                     node_budget, state, forbid, nforb, ftrail, fstart):
+                     col, nxt, maxu, ccol, csame, forbid, nforb, ftrail, fstart,
+                     state, node_budget):
     """Resumable depth-first search for a coloring with no monochromatic copy.
 
     Items are colored in the order given by ``order`` with colors tried
@@ -122,14 +122,15 @@ def dfs_bad_coloring(citems, width, istart, icopies, order, r,
     pruning.  Copy k is citems[k * width:(k + 1) * width]; width >= 2, as a
     one-item copy never forbids and the caller decides that case unaided.
 
-    Per-copy state: ccnt assigned items, ccol the color of the first, cmix
-    whether two colors are present.  The step at depth d records the copies
-    it made mixed in utrail[ustart[d]:ustart[d + 1]] and its forbids, as
-    u * r + c, in ftrail[fstart[d]:fstart[d + 1]]; ustart[0] = fstart[0] = 0.
-    Along one path a copy turns mixed at most once and forbids at most once,
-    so each trail needs one entry per copy.  state = [depth, explored]; all
-    arrays persist across calls so the search can be paused on the node
-    budget and resumed.
+    Per-copy state: ccol[k], the color of copy k's first assigned item, and
+    csame[k], its assigned items of that color; undo is last in first out,
+    so csame[k] is 0 exactly when none of copy k is assigned.  When csame[k]
+    reaches width - 1, copy k has one item left, and forbids ccol[k] there,
+    or is full and mixed.  csame[k] only grows along a path, so a copy
+    forbids at most once, and the forbids of the step at depth d, as
+    u * r + c, fill ftrail[fstart[d]:fstart[d + 1]] (fstart[0] = 0).
+    state = [depth, explored]; all arrays persist across calls so the
+    search can be paused on the node budget and resumed.
     """
     # state stays argument 15: the benchmark's tracer reads the node count there.
     n = order.shape[0]
@@ -158,34 +159,29 @@ def dfs_bad_coloring(citems, width, istart, icopies, order, r,
             c += 1
         if c < lim:
             col[it] = c
-            ul = ustart[d]
             fl = fstart[d]
             wiped = False
             for k in icopies[istart[it]:istart[it + 1]]:
-                cnt = ccnt[k]
-                if cnt == 0:
+                same = csame[k]
+                if same == 0:
                     ccol[k] = c
-                elif cmix[k] == 0 and ccol[k] != c:
-                    cmix[k] = 1
-                    utrail[ul] = k
-                    ul += 1
-                cnt += 1
-                ccnt[k] = cnt
-                if cnt + 1 == width and cmix[k] == 0:
-                    u = it
+                elif ccol[k] != c:
+                    continue
+                same += 1
+                csame[k] = same
+                if same + 1 == width:
                     for ipos in range(k * width, k * width + width):
                         u = citems[ipos]
                         if col[u] < 0:
+                            e = u * r + c
+                            if forbid[e] == 0:
+                                nforb[u] += 1
+                                if nforb[u] == r:
+                                    wiped = True
+                            forbid[e] += 1
+                            ftrail[fl] = e
+                            fl += 1
                             break
-                    e = u * r + ccol[k]
-                    if forbid[e] == 0:
-                        nforb[u] += 1
-                        if nforb[u] == r:
-                            wiped = True
-                    forbid[e] += 1
-                    ftrail[fl] = e
-                    fl += 1
-            ustart[d + 1] = ul
             fstart[d + 1] = fl
             nxt[d] = c + 1
             if not wiped:
@@ -205,10 +201,10 @@ def dfs_bad_coloring(citems, width, istart, icopies, order, r,
                 state[1] = explored
                 return EXHAUSTED
         prev = order[d]
+        c = col[prev]
         for k in icopies[istart[prev]:istart[prev + 1]]:
-            ccnt[k] -= 1
-        for k in utrail[ustart[d]:ustart[d + 1]]:
-            cmix[k] = 0
+            if ccol[k] == c:
+                csame[k] -= 1
         for e in ftrail[fstart[d]:fstart[d + 1]]:
             forbid[e] -= 1
             if forbid[e] == 0:

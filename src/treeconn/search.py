@@ -223,17 +223,17 @@ def _search_bad_coloring(fam: CopyFamily, r: int, budget: Budget, mode: str, t0:
     n, (m, width), citems = fam.n_items, fam.rows.shape, fam.rows.ravel()
     # Colors past the n-th are never tried, so min(r, n) columns suffice.
     r_eff = min(r, n)
-    ccnt, ccol, cmix = (np.zeros(m, dtype=np.int64) for _ in range(3))
+    ccol, csame = np.zeros(m, dtype=np.int64), np.zeros(m, dtype=np.int64)
     forbid = np.zeros(n * r_eff, dtype=np.int64)  # the kernel reads forbid[u * r_eff + c]
     nforb = np.zeros(n, dtype=np.int64)
-    # Along one path each copy turns mixed once and forbids once at most.
-    mixed, forbids = _trail(n, m), _trail(n, m)
+    # Along one path each copy forbids once at most.
+    forbids = _trail(n, m)
     state = np.zeros(2, dtype=np.int64)
 
     def call(limit):
         return kernels.dfs_bad_coloring(
-            citems, width, *csr, r_eff, col, nxt, maxu, ccnt, ccol, cmix, *mixed,
-            limit, state, forbid, nforb, *forbids,
+            citems, width, *csr, r_eff, col, nxt, maxu, ccol, csame, forbid, nforb, *forbids,
+            state, limit,
         )
 
     status = _run_chunks(call, state, budget, t0)
@@ -247,7 +247,8 @@ def _fewest_colors(fam: CopyFamily, coloring: tuple[int, ...], r: int) -> int:
     colors = np.asarray(coloring, dtype=np.int64)
     if ((colors < 0) | (colors >= r)).any():
         raise ValueError("color indices must lie in 0..r-1")
-    per_copy = np.sort(colors[fam.rows], axis=1)
+    per_copy = colors[fam.rows]
+    per_copy.sort(axis=1)
     return 1 + int((per_copy[:, 1:] != per_copy[:, :-1]).sum(axis=1).min())
 
 

@@ -428,18 +428,23 @@ def test_dfs_searches_match_pinned_results(mode):
 
 def test_search_trails_stay_within_their_bounds(monkeypatch):
     # One node per kernel call, so each trail end a step writes to
-    # ustart/fstart is seen before a later step can overwrite it.  Along one
-    # path a copy turns mixed once and forbids once at most (arrow search),
-    # and gains each of at most min(r, its size) colors once (degree search).
+    # fstart/ustart is seen before a later step can overwrite it.  Along one
+    # path a copy forbids once at most (arrow search), and gains each of at
+    # most min(r, its size) colors once (degree search).  Between calls the
+    # arrow search's csame[k] counts the assigned items of copy k with color
+    # ccol[k], and is 0 exactly when none of them is assigned.
     monkeypatch.setattr(search, "_CHUNK", 1)
-    used = {"mixed": 0, "forbids": 0, "degree": 0}
+    used = {"forbids": 0, "degree": 0}
 
     def arrow(*args):
         status = dfs_bad(*args)
         a = _bound_args(dfs_bad, args)
-        m = len(a["ccnt"])
-        assert a["ustart"].max() <= m and a["fstart"].max() <= m
-        used["mixed"] = max(used["mixed"], int(a["ustart"].max()))
+        colors = np.asarray(a["col"])[np.asarray(a["citems"]).reshape(-1, a["width"])]
+        assigned = colors >= 0
+        same = (assigned & (colors == np.asarray(a["ccol"])[:, None])).sum(axis=1)
+        assert np.array_equal(a["csame"], same)
+        assert np.array_equal(a["csame"] == 0, ~assigned.any(axis=1))
+        assert a["fstart"].max() <= len(a["csame"])
         used["forbids"] = max(used["forbids"], int(a["fstart"].max()))
         return status
 
@@ -542,16 +547,16 @@ def test_resumable_search_pauses_and_resumes():
     fam = tc.copy_family(C2, C3, tc.chain(6), tc.INC_INJ)
     csr, (col, nxt, maxu) = search._search_arrays(fam, "canonical")
     n, (ncopies, width) = fam.n_items, fam.rows.shape
-    ccnt, ccol, cmix = (np.zeros(ncopies, dtype=np.int64) for _ in range(3))
+    ccol, csame = np.zeros(ncopies, dtype=np.int64), np.zeros(ncopies, dtype=np.int64)
     forbid = np.zeros(n * 2, dtype=np.int64)
     nforb = np.zeros(n, dtype=np.int64)
-    mixed, forbids = search._trail(n, ncopies), search._trail(n, ncopies)
+    forbids = search._trail(n, ncopies)
     state = np.zeros(2, dtype=np.int64)
     pauses = 0
     while True:
         status = kernels.dfs_bad_coloring(
-            fam.rows.ravel(), width, *csr, 2, col, nxt, maxu, ccnt, ccol, cmix, *mixed,
-            int(state[1]) + 50, state, forbid, nforb, *forbids,
+            fam.rows.ravel(), width, *csr, 2, col, nxt, maxu, ccol, csame, forbid, nforb,
+            *forbids, state, int(state[1]) + 50,
         )
         if status != kernels.PAUSED:
             break
@@ -563,7 +568,7 @@ def test_resumable_search_pauses_and_resumes():
     assert one.verdict == "arrows"
     assert one.explored == int(state[1])
     # Every counter is back to its start once the search is exhausted.
-    assert not ccnt.any() and not cmix.any() and not forbid.any() and not nforb.any()
+    assert not csame.any() and not forbid.any() and not nforb.any()
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 50])

@@ -150,6 +150,8 @@ def test_search_arrays_memory_on_a_dense_family():
     # copies of 12 items, 11 MB of rows.  The family and the search arrays
     # are built in one window: the rows are held once, as built, and the
     # item -> copies arrays are the argsort of them.
+    # The re-verification gathers the copies' colors once and sorts them in
+    # place, so its own window holds one more copy of the rows.
     V = tc.graft(D2, [0, 1], [tc.parse_forest("()")] * 2).tree
     tracemalloc.start()
     try:
@@ -160,6 +162,14 @@ def test_search_arrays_memory_on_a_dense_family():
         tracemalloc.stop()
     assert fam.rows.shape == (117_859, 12)
     assert peak < 40 << 20
+    tracemalloc.start()
+    try:
+        fewest = search._fewest_colors(fam, (0,) * fam.n_items, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fewest == 1
+    assert peak < 16 << 20
 
 
 def test_copy_family_sizes():
